@@ -110,8 +110,7 @@ pub struct Workstation {
     pub host_nic: Rc<RefCell<HostNic>>,
 }
 
-/// Fluent constructor for a [`System`] — the one entry point replacing
-/// the accreted `with_topology` + piecewise assembly calls.
+/// Fluent constructor for a [`System`].
 ///
 /// ```
 /// use pegasus::system::SystemBuilder;
@@ -214,19 +213,6 @@ impl System {
         SystemBuilder::new()
     }
 
-    /// Creates a system whose backbone is a multi-switch fabric in the
-    /// given shape, all inter-switch links at `link` parameters.
-    #[deprecated(
-        since = "0.8.0",
-        note = "use System::builder().topology(..).link(..).build()"
-    )]
-    pub fn with_topology(shape: TopologyShape, switches: usize, link: LinkConfig) -> Self {
-        SystemBuilder::new()
-            .topology(shape, switches)
-            .link(link)
-            .build()
-    }
-
     /// Adds a multimedia workstation: local switch uplinked to the
     /// fabric (round-robin across fabric switches), with the full device
     /// complement attached.
@@ -298,12 +284,6 @@ impl System {
             .add_endpoint_auto(self.fabric[fabric_idx], self.link, sink)
     }
 
-    /// Deprecated name for [`System::device`].
-    #[deprecated(since = "0.8.0", note = "use System::device")]
-    pub fn attach_device(&mut self, fabric_idx: usize, sink: SinkRef) -> EndpointId {
-        self.device(fabric_idx, sink)
-    }
-
     /// Builds a camera on `ws`, producing `scene` with `cfg`, stamped
     /// with the VCI of an already-opened connection.
     pub fn build_camera(
@@ -330,18 +310,6 @@ impl System {
         Camera::new(video, cfg, vci, self.net.endpoint_tx(ep))
     }
 
-    /// Deprecated name for [`System::camera_on`].
-    #[deprecated(since = "0.8.0", note = "use System::camera_on")]
-    pub fn build_camera_on(
-        &self,
-        ep: EndpointId,
-        scene: Scene,
-        cfg: CameraConfig,
-        vci: u16,
-    ) -> Rc<RefCell<Camera>> {
-        self.camera_on(ep, scene, cfg, vci)
-    }
-
     /// Builds an audio source on `ws` for an already-opened connection.
     pub fn build_audio_source(&self, ws: &Workstation, vci: u16) -> Rc<RefCell<AudioSource>> {
         self.audio_source_on(ws.audio_src_ep, AudioConfig::telephony(), vci)
@@ -355,17 +323,6 @@ impl System {
         vci: u16,
     ) -> Rc<RefCell<AudioSource>> {
         AudioSource::new(cfg, vci, self.net.endpoint_tx(ep))
-    }
-
-    /// Deprecated name for [`System::audio_source_on`].
-    #[deprecated(since = "0.8.0", note = "use System::audio_source_on")]
-    pub fn build_audio_source_on(
-        &self,
-        ep: EndpointId,
-        cfg: AudioConfig,
-        vci: u16,
-    ) -> Rc<RefCell<AudioSource>> {
-        self.audio_source_on(ep, cfg, vci)
     }
 
     /// Runs a session request through the QoS broker against this

@@ -2,9 +2,10 @@
 //!
 //! The builder assembles a [`System`] piecewise — fabric from the
 //! topology spec, then per-session devices attached directly to fabric
-//! switches — schedules every session's start/stop on the engine,
-//! applies the fault schedule, runs to the drain deadline, and folds
-//! every layer's statistics into a [`ScenarioReport`].
+//! switches — schedules every session's start/stop on the engine and
+//! applies the fault schedule. [`Scenario::run`] drives it to the drain
+//! deadline through the epoch driver (`crate::executor`) and folds every
+//! layer's statistics into a [`ScenarioReport`].
 //!
 //! Every session is admitted through the cross-layer QoS broker
 //! ([`pegasus::broker::QosBroker`]): its requested resource vector —
@@ -30,12 +31,12 @@ use pegasus::broker::{
     FlowRequest, Outcome, QosBroker, RejectLayer, ResourceVector, SessionClass, SessionGrant,
     SessionRequest,
 };
-use pegasus::congestion::{CongestionController, EpochSignal, Verdict};
+use pegasus::congestion::{EpochSignal, Verdict};
 use pegasus::system::{HostNic, System, SystemBuilder};
 use pegasus_atm::cell::{Cell, Vci, CELL_SIZE};
 use pegasus_atm::credit::{CreditExportBuf, CreditRef, CreditSink, CreditWindow};
-use pegasus_atm::link::{CellSink, Link};
-use pegasus_atm::network::{LinkConfig, Network, VcHandle};
+use pegasus_atm::link::{CellSink, SinkRef};
+use pegasus_atm::network::{EndpointId, LinkConfig, Network, SwitchId, VcHandle};
 use pegasus_atm::signalling::QosSpec;
 use pegasus_devices::audio::{AudioConfig, AudioSink, AudioSource};
 use pegasus_devices::camera::{Camera, CameraConfig, VideoMode};
@@ -56,10 +57,11 @@ use pegasus_streams::playback::{ArrivalSink, PlaybackControl, PlaybackPolicy, St
 use rand::rngs::SmallRng;
 use rand::Rng;
 
+use crate::executor::{drive, Solo};
 use crate::partition::ShardPlan;
 use crate::report::{
-    BackpressureReport, BrokerReport, CacheReport, CellReport, ClassReport, NemesisReport,
-    PfsReport, ScenarioReport, ShardSlice, SCHEMA_VERSION,
+    BrokerReport, CacheReport, ClassReport, NemesisReport, PfsReport, ScenarioReport, ShardSlice,
+    SCHEMA_VERSION,
 };
 use crate::spec::{Arrival, FaultSpec, ScenarioSpec};
 
@@ -91,16 +93,12 @@ struct VodServer {
     cache: Option<TieredCache>,
 }
 
-/// One VoD client's receive side: controller, its stream id, and the
-/// cell sink feeding it.
-type VodClient = (
-    Rc<RefCell<PlaybackControl>>,
-    StreamId,
-    Rc<RefCell<ArrivalSink>>,
-);
+/// One VoD client's playback side: the controller and its stream id.
+type VodClient = (Rc<RefCell<PlaybackControl>>, StreamId);
 
-/// The blast's discard endpoint: cells vanish here, their credits
-/// already returned by the [`CreditSink`] wrapped around it.
+/// A discard endpoint: the blast's sink (its credits already returned
+/// by the [`CreditSink`] wrapped around it), and the stand-in for a
+/// consumer another shard owns.
 struct NullSink;
 
 impl NullSink {
@@ -157,12 +155,8 @@ pub struct SessionContract {
 /// [`BrokerReport`] at report time.
 #[derive(Default)]
 struct BrokerTally {
-    admitted: u64,
-    degraded: u64,
-    rejected: u64,
-    rejected_cpu: u64,
-    rejected_bandwidth: u64,
-    rejected_pfs: u64,
+    /// Outcome counts; the rest is filled in by `into_report`.
+    counts: BrokerReport,
     quality_sum: [u64; 3],
     quality_n: [u64; 3],
     headroom_cpu: Histogram,
@@ -180,15 +174,16 @@ impl BrokerTally {
         net: &Network,
         broker: &QosBroker,
     ) {
+        let c = &mut self.counts;
         match grant.outcome {
-            Outcome::Admitted => self.admitted += 1,
-            Outcome::Degraded => self.degraded += 1,
+            Outcome::Admitted => c.admitted += 1,
+            Outcome::Degraded => c.degraded += 1,
             Outcome::Rejected(layer) => {
-                self.rejected += 1;
+                c.rejected += 1;
                 match layer {
-                    RejectLayer::Cpu => self.rejected_cpu += 1,
-                    RejectLayer::Bandwidth => self.rejected_bandwidth += 1,
-                    RejectLayer::PfsSlots => self.rejected_pfs += 1,
+                    RejectLayer::Cpu => c.rejected_cpu += 1,
+                    RejectLayer::Bandwidth => c.rejected_bandwidth += 1,
+                    RejectLayer::PfsSlots => c.rejected_pfs += 1,
                 }
             }
         }
@@ -214,16 +209,11 @@ impl BrokerTally {
 
     fn into_report(mut self) -> BrokerReport {
         BrokerReport {
-            admitted: self.admitted,
-            degraded: self.degraded,
-            rejected: self.rejected,
-            rejected_cpu: self.rejected_cpu,
-            rejected_bandwidth: self.rejected_bandwidth,
-            rejected_pfs: self.rejected_pfs,
             quality_milli: (self.quality(0), self.quality(1), self.quality(2)),
             headroom_cpu: self.headroom_cpu.summarize(),
             headroom_bandwidth: self.headroom_bw.summarize(),
             headroom_pfs: self.headroom_pfs.summarize(),
+            ..self.counts
         }
     }
 }
@@ -247,13 +237,12 @@ pub struct Scenario {
     /// One contract per requested session, in setup order.
     pub contracts: Vec<SessionContract>,
     tally: BrokerTally,
-    /// Single-stream displays (one videophone session each).
-    displays: Vec<Rc<RefCell<Display>>>,
-    /// Control-room displays merging a whole TV group's feeds.
-    tv_displays: Vec<Rc<RefCell<Display>>>,
+    /// Owned displays, each flagged whether it shows a single stream
+    /// (one videophone session) rather than a TV control room merging a
+    /// whole group's feeds.
+    displays: Vec<(Rc<RefCell<Display>>, bool)>,
     audio_sinks: Vec<Rc<RefCell<AudioSink>>>,
     vod_clients: Vec<VodClient>,
-    tx_links: Vec<Rc<RefCell<Link>>>,
     vod_servers: Vec<VodServer>,
     /// One book entry per admitted session: the grant (held live so the
     /// congestion loop can renegotiate it), the producer, the credit
@@ -268,86 +257,28 @@ pub struct Scenario {
     blasts: Vec<(VcHandle, Option<CreditRef>, bool)>,
     /// Outbound credit-return records, one buffer per *producer* shard:
     /// a consumer-side [`CreditSink`] in export mode appends here, and
-    /// the executor seals the records into that shard's mailbox at the
-    /// next epoch boundary. Empty buffers (and an empty vec on the
-    /// classic path) cost nothing.
-    credit_out: Vec<CreditExportBuf>,
+    /// the threaded transport seals the records into that shard's
+    /// mailbox at the next epoch boundary. Empty buffers (and the one
+    /// unused buffer on the classic path) cost nothing.
+    pub(crate) credit_out: Vec<CreditExportBuf>,
     /// Registry of credit windows whose producer this shard owns,
     /// keyed by delivery VCI and sorted for binary search — the lookup
     /// table for applying sealed credit returns and remote reclaims.
     credit_windows: Vec<(Vci, CreditRef)>,
 }
 
-/// Runtime counters of one shard's epoch loop — all zero on the
-/// classic single-threaded path, which never waits at a barrier.
-#[derive(Debug, Default)]
-pub struct ShardRuntime {
-    /// Barrier crossings the shard waited at.
-    pub barrier_waits: u64,
-    /// Sealed cells published onto outbound cut trunks.
-    pub cells_exported: u64,
-    /// Sealed cells accepted from other shards.
-    pub cells_imported: u64,
-    /// The conservative lookahead the epoch loop ran under, in ns.
-    pub lookahead_ns: u64,
-    /// Outbound cut trunks this shard exports on.
-    pub cut_trunks: u64,
-    /// Sealed credit-return records published to other shards.
-    pub credits_crossed: u64,
-    /// Circuits this shard's replica walked during replicated
-    /// switch-death repair (rerouted + stranded; identical on every
-    /// shard by construction).
-    pub repairs_replicated: u64,
-}
-
 /// Everything one shard measured, in `Send` form — plain counters,
-/// histograms and report fragments, no `Rc`. [`assemble`] folds a
-/// vector of these into the final [`ScenarioReport`]. The classic
-/// single-shard path produces exactly one, so both paths share the
-/// fold and cannot drift apart.
-pub struct ShardOutcome {
-    shard: usize,
-    events_executed: u64,
-    runtime: ShardRuntime,
-    tiles_blitted: u64,
-    video_lat: Histogram,
-    video_jit: Histogram,
-    audio_underruns: u64,
-    audio_lat: Histogram,
-    audio_jit: Histogram,
-    vod_presented: u64,
-    playback_late: u64,
-    vod_lat: Histogram,
-    vod_jit: Histogram,
-    /// `delivered` is left zero here; [`assemble`] computes it from the
-    /// summed totals.
-    cells: CellReport,
-    peak_queue_cells: u64,
-    vcs_rerouted: u64,
-    vcs_stranded: u64,
-    bp: BackpressureReport,
-    coord: Option<CoordinatorOutcome>,
-}
-
-impl ShardOutcome {
-    /// This outcome's shard index.
-    pub(crate) fn shard(&self) -> usize {
-        self.shard
-    }
-}
-
-/// Sections only the coordinator (shard 0) contributes: either
+/// histograms and report fragments, no `Rc`: the shard's slice of the
+/// report, plus each class's raw latency and jitter histograms (video,
+/// audio, VoD), which must merge before they summarize. [`assemble`]
+/// folds a vector of these into the final [`ScenarioReport`]. Only the
+/// coordinator's slice (shard 0) carries the sections that are either
 /// identical on every shard by replication (broker ledgers, topology
-/// counts) or requiring state only it materializes (the PFS CM replay)
-/// or replays (the Nemesis epoch schedule).
-struct CoordinatorOutcome {
-    switches: u64,
-    endpoints: u64,
-    max_link_utilization: f64,
-    broker: BrokerReport,
-    pfs: PfsReport,
-    cache: CacheReport,
-    nemesis: NemesisReport,
+/// counts) or need state only it materializes (the PFS CM replay) or
+/// replays (the Nemesis epoch schedule).
+pub struct ShardOutcome {
+    report: ScenarioReport,
+    hists: [(Histogram, Histogram); 3],
 }
 
 /// The camera settings a session runs at after renegotiation: frame
@@ -405,49 +336,6 @@ fn start_time(rng: &mut SmallRng, arrival: Arrival, poisson_clock: &mut Ns) -> N
     }
 }
 
-/// Wires one credited circuit's two halves as this shard sees them.
-///
-/// The producer half (the window, created iff this shard owns the
-/// source switch) is returned and recorded in the registry so sealed
-/// returns and remote reclaims can find it. The consumer half — how
-/// drained cells' credits travel back — is registered on `sink` (which
-/// the caller built iff it owns the destination switch) by geometry
-/// and ownership: same switch → immediate; cross-switch with the
-/// window in this address space → delayed by `ret_delay`; cross-shard
-/// → sealed export records addressed to the producer's shard.
-#[allow(clippy::too_many_arguments)]
-fn wire_credit(
-    plan: &ShardPlan,
-    ret_delay: Ns,
-    window_cells: u64,
-    dst_vci: Vci,
-    src_switch: usize,
-    dst_switch: usize,
-    sink: Option<&Rc<RefCell<CreditSink>>>,
-    registry: &mut Vec<(Vci, CreditRef)>,
-    credit_out: &[CreditExportBuf],
-) -> Option<CreditRef> {
-    let window = plan.owns(src_switch).then(|| {
-        let w = CreditWindow::shared(window_cells);
-        registry.push((dst_vci, w.clone()));
-        w
-    });
-    if let Some(cs) = sink {
-        let mut cs = cs.borrow_mut();
-        if src_switch == dst_switch {
-            // Same switch ⇒ same owner: the window is always local and
-            // the return is a same-host wire.
-            cs.register(dst_vci, window.clone().expect("same switch, same shard"));
-        } else if let Some(w) = &window {
-            cs.register_delayed(dst_vci, w.clone(), ret_delay);
-        } else {
-            let producer = plan.owner_of(src_switch);
-            cs.register_export(dst_vci, ret_delay, credit_out[producer].clone());
-        }
-    }
-    window
-}
-
 /// Compiles `spec` into a wired, scheduled [`Scenario`] that owns the
 /// whole city (the classic single-threaded path).
 pub fn compile(spec: &ScenarioSpec) -> Scenario {
@@ -464,78 +352,50 @@ pub fn compile(spec: &ScenarioSpec) -> Scenario {
 /// owned devices, so the per-shard measurements sum to exactly the
 /// single-shard ones. Remote replicas of switches and devices exist but
 /// stay silent — no event ever touches them.
+///
+/// Each session class keeps only what is its own — the videophone's
+/// audio pair, the TV window manager and director cuts, the VoD title
+/// draw and CM admission — and hands its media circuit to the one
+/// installer (`Scenario::install`). RNG draws and device attachments
+/// run in a fixed per-class order (a VoD client attaches before its
+/// server), which fixes endpoint and VCI numbering.
 pub fn compile_for(spec: &ScenarioSpec, plan: ShardPlan) -> Scenario {
     let mut rng = seeded(spec.seed);
-    let mut sys = SystemBuilder::new()
+    let sys = SystemBuilder::new()
         .topology(spec.topology.shape, spec.topology.switches)
         .link(spec.topology.link)
         .build();
-    let mut sim = Simulator::new();
     let n_fabric = sys.fabric.len();
     let counts = spec.mix.counts(spec.sessions);
     let (n_vp, n_vod, n_tv) = counts;
-
-    // Requested per-session demand at the mix's load factor.
-    let load = spec.mix.load;
-    let req_bps = (spec.video_bps as f64 * load).round() as u64;
-    let req_cpu = (spec.broker.cpu_per_session_micro as f64 * load).round() as u64;
-    let req_disk = (spec.vod_disk_rate as f64 * load).round() as u64;
-
+    let req_disk = (spec.vod_disk_rate as f64 * spec.mix.load).round() as u64;
     let n_servers = spec.pfs_servers.max(1).min(n_vod.max(1));
-    let mut broker = QosBroker::new(
-        spec.broker.cpu_capacity_micro,
-        if n_vod > 0 { n_servers } else { 0 },
-        spec.broker.pfs_slots_per_server,
-        spec.broker.degrade_milli,
-    );
-
-    let mut scenario = Scenario {
+    let mut sc = Scenario {
         spec: spec.clone(),
-        plan: ShardPlan::single(), // replaced by `plan` below
-        counts,
-        contracts: Vec::new(),
-        tally: BrokerTally::default(),
-        displays: Vec::new(),
-        tv_displays: Vec::new(),
-        audio_sinks: Vec::new(),
-        vod_clients: Vec::new(),
-        tx_links: Vec::new(),
-        vod_servers: Vec::new(),
-        books: Vec::new(),
-        blasts: Vec::new(),
         credit_out: (0..plan.shards)
             .map(|_| Rc::new(RefCell::new(Vec::new())))
             .collect(),
-        credit_windows: Vec::new(),
-        // Placeholders, replaced below once sessions are wired.
-        broker: QosBroker::new(0, 0, 0, 1000),
-        sys: System::new(),
+        plan,
+        sys,
         sim: Simulator::new(),
+        counts,
+        broker: QosBroker::new(
+            spec.broker.cpu_capacity_micro,
+            if n_vod > 0 { n_servers } else { 0 },
+            spec.broker.pfs_slots_per_server,
+            spec.broker.degrade_milli,
+        ),
+        contracts: Vec::new(),
+        tally: BrokerTally::default(),
+        displays: Vec::new(),
+        audio_sinks: Vec::new(),
+        vod_clients: Vec::new(),
+        vod_servers: Vec::new(),
+        books: Vec::new(),
+        blasts: Vec::new(),
+        credit_windows: Vec::new(),
     };
-
-    let decide = |scenario: &mut Scenario,
-                  sys: &mut System,
-                  broker: &mut QosBroker,
-                  req: &SessionRequest|
-     -> SessionGrant {
-        let grant = sys.admit_session(broker, req);
-        scenario.tally.record(&grant, req.class, &sys.net, broker);
-        scenario.contracts.push(SessionContract {
-            class: req.class,
-            outcome: grant.outcome,
-            requested: grant.requested,
-            granted: grant.granted,
-        });
-        grant
-    };
-    let bp = spec.backpressure;
-    // Cross-switch circuits return credits one reverse trunk crossing
-    // later: serialization (ceiling division, so never below the
-    // executor's floored lookahead) plus propagation. A pure function
-    // of the spec — identical at every shard count, and applied on the
-    // classic path too, so the physics don't depend on the plan.
-    let ret_delay: Ns =
-        tx_time(CELL_SIZE, spec.topology.link.rate_bps) + spec.topology.link.prop_delay;
+    let credited = spec.backpressure.enabled;
     let make_display = || {
         if spec.headless_displays {
             Display::shared_headless(176, 144)
@@ -545,6 +405,10 @@ pub fn compile_for(spec: &ScenarioSpec, plan: ShardPlan) -> Scenario {
     };
 
     let mut poisson_clock: Ns = 0;
+    let mut timing = |rng: &mut SmallRng| {
+        let t0 = start_time(rng, spec.arrival, &mut poisson_clock).min(spec.duration);
+        (t0, pick_scene(rng))
+    };
     let pick_pair = |rng: &mut SmallRng| -> (usize, usize) {
         let src = rng.gen_range(0..n_fabric);
         let dst = if n_fabric > 1 {
@@ -564,119 +428,45 @@ pub fn compile_for(spec: &ScenarioSpec, plan: ShardPlan) -> Scenario {
     // ---- Videophone sessions: camera→display plus audio, one way. ----
     for _ in 0..n_vp {
         let (src, dst) = pick_pair(&mut rng);
-        let (owns_src, owns_dst) = (plan.owns(src), plan.owns(dst));
-        let t0 = start_time(&mut rng, spec.arrival, &mut poisson_clock).min(spec.duration);
-        let scene = pick_scene(&mut rng);
-
-        let cam_ep = sys.device(src, HostNic::shared());
-        // Remote-silent pruning: heavy device state (framebuffers,
-        // synthetic video, jitter buffers) is built only on the shard
-        // owning its switch. An unowned endpoint never receives a cell,
-        // so a null sink keeps the endpoint (and VCI) numbering
-        // identical while the replica costs nothing.
+        let (t0, scene) = timing(&mut rng);
+        let owns_dst = sc.plan.owns(dst);
+        let cam_ep = sc.sys.device(src, HostNic::shared());
         let display = owns_dst.then(&make_display);
-        // With backpressure on, the consuming endpoint fronts its sink
-        // with a credit gate — built only where the consumer lives; the
-        // gate's return path (immediate, delayed, or cross-shard
-        // export) is wired after admission fixes the delivery VCI.
-        let credit_sink = (bp.enabled && owns_dst)
-            .then(|| CreditSink::wrap(display.clone().expect("owner builds the display")));
-        let disp_ep = match (&credit_sink, &display) {
-            (Some(cs), _) => sys.device(dst, cs.clone()),
-            (None, Some(d)) => sys.device(dst, d.clone()),
-            (None, None) => sys.device(dst, NullSink::shared()),
-        };
-        let audio_src_ep = sys.device(src, HostNic::shared());
+        let (disp_ep, gate) = sc.attach_consumer(dst, display.clone(), credited);
+        let audio_src_ep = sc.sys.device(src, HostNic::shared());
         let audio_sink =
             owns_dst.then(|| AudioSink::shared(AudioConfig::telephony(), spec.audio_jitter_buffer));
-        let audio_sink_ep = match &audio_sink {
-            Some(s) => sys.device(dst, s.clone()),
-            None => sys.device(dst, NullSink::shared()),
-        };
-
-        let req = SessionRequest {
-            class: SessionClass::Videophone,
-            media_flows: vec![FlowRequest {
-                src: cam_ep,
-                dst: disp_ep,
-                bps: req_bps,
-            }],
-            fixed_flows: vec![FlowRequest {
-                src: audio_src_ep,
-                dst: audio_sink_ep,
-                bps: AUDIO_BPS,
-            }],
-            cpu_micro: req_cpu,
-            pfs_server: None,
-        };
-        let grant = decide(&mut scenario, &mut sys, &mut broker, &req);
-        if !grant.is_admitted() {
+        let (audio_sink_ep, _) = sc.attach_consumer(dst, audio_sink.clone(), false);
+        let mut req = sc.request(SessionClass::Videophone, cam_ep, disp_ep);
+        req.fixed_flows.push(FlowRequest {
+            src: audio_src_ep,
+            dst: audio_sink_ep,
+            bps: AUDIO_BPS,
+        });
+        let Some(grant) = sc.install(&req, (src, dst), gate.as_ref(), scene, t0) else {
             continue;
+        };
+        let (vc_dst, avc_src) = (grant.vcs[0].dst_vci, grant.vcs[1].src_vci);
+        if let Some(display) = display {
+            WindowManager::new(display.clone(), 1).create(vc_dst, Rect::new(0, 0, 176, 144));
+            sc.displays.push((display, true));
         }
-        let (vc_src, vc_dst, avc_src) = (
-            grant.vcs[0].src_vci,
-            grant.vcs[0].dst_vci,
-            grant.vcs[1].src_vci,
-        );
-
-        if let Some(display) = &display {
-            let mut wm = WindowManager::new(display.clone(), 1);
-            wm.create(vc_dst, Rect::new(0, 0, 176, 144));
-            scenario.displays.push(display.clone());
-        }
-        let cam_cfg = camera_for(spec.camera, grant.quality_milli);
-        let cam = owns_src.then(|| sys.camera_on(cam_ep, scene, cam_cfg, vc_src));
-        let credit = bp.enabled.then(|| {
-            let w = wire_credit(
-                &plan,
-                ret_delay,
-                bp.window_cells,
-                vc_dst,
-                src,
-                dst,
-                credit_sink.as_ref(),
-                &mut scenario.credit_windows,
-                &scenario.credit_out,
-            );
-            if let (Some(w), Some(cam)) = (&w, &cam) {
-                cam.borrow_mut().set_credit(w.clone());
-            }
-            w
-        });
-        let credit = credit.flatten();
-        if owns_src {
-            scenario.tx_links.push(sys.net.endpoint_tx(cam_ep));
-        }
-        let stranded = vec![false; grant.vcs.len()];
-        scenario.books.push(SessionBook {
-            grant,
-            class: SessionClass::Videophone,
-            camera: cam.clone(),
-            credit,
-            stranded,
-        });
-        if let Some(cam) = cam {
-            let (cam_start, cam_stop) = (cam.clone(), cam);
-            sim.schedule_at(t0, move |sim| Camera::start(&cam_start, sim));
-            sim.schedule_at(spec.duration, move |_| cam_stop.borrow_mut().stop());
-        }
-
-        let audio =
-            owns_src.then(|| sys.audio_source_on(audio_src_ep, AudioConfig::telephony(), avc_src));
-        if owns_src {
-            scenario.tx_links.push(sys.net.endpoint_tx(audio_src_ep));
-        }
-        let duration = spec.duration;
         // The source's start and the sink's play-out start are separate
         // events — each lands on the shard owning its end of the call.
-        if let Some(audio) = audio {
+        if sc.plan.owns(src) {
+            let audio = sc
+                .sys
+                .audio_source_on(audio_src_ep, AudioConfig::telephony(), avc_src);
             let (a_start, a_stop) = (audio.clone(), audio);
-            sim.schedule_at(t0, move |sim| AudioSource::start(&a_start, sim));
-            sim.schedule_at(spec.duration, move |_| a_stop.borrow_mut().stop());
+            sc.sim
+                .schedule_at(t0, move |sim| AudioSource::start(&a_start, sim));
+            sc.sim
+                .schedule_at(spec.duration, move |_| a_stop.borrow_mut().stop());
         }
         if let Some(audio_sink) = audio_sink {
-            scenario.audio_sinks.push(audio_sink.clone());
-            sim.schedule_at(t0, move |sim| {
+            sc.audio_sinks.push(audio_sink.clone());
+            let duration = spec.duration;
+            sc.sim.schedule_at(t0, move |sim| {
                 AudioSink::start_playout(&audio_sink, sim, duration)
             });
         }
@@ -685,13 +475,13 @@ pub fn compile_for(spec: &ScenarioSpec, plan: ShardPlan) -> Scenario {
     // ---- VoD sessions: file server → synchronized playback client. ----
     // The servers' disk state (prerecord + CM replay) lives only on the
     // coordinator: the replay is post-hoc and global, not event-driven.
-    if n_vod > 0 && plan.materialize_pfs {
+    let titles = spec.cache.titles_per_server.max(1);
+    if n_vod > 0 && sc.plan.materialize_pfs {
         // Rate ceiling sized to a slot-full server at the requested
         // rate: the stream *slots* are the binding capacity, enforced
         // by the broker's ledger and the scheduler's own cap.
         let slots = spec.broker.pfs_slots_per_server;
         let per_server_rate = req_disk * slots.max(1) as u64;
-        let titles = spec.cache.titles_per_server.max(1);
         for _ in 0..n_servers {
             let mut fs = LogFs::new(DiskConfig::hp_1994());
             fs.raid_mut().set_store(false);
@@ -725,7 +515,7 @@ pub fn compile_for(spec: &ScenarioSpec, plan: ShardPlan) -> Scenario {
                 c.set_crowd_file(files[0]);
                 c
             });
-            scenario.vod_servers.push(VodServer {
+            sc.vod_servers.push(VodServer {
                 fs,
                 cm,
                 files,
@@ -733,12 +523,9 @@ pub fn compile_for(spec: &ScenarioSpec, plan: ShardPlan) -> Scenario {
             });
         }
     }
-    let titles = spec.cache.titles_per_server.max(1);
     for i in 0..n_vod {
         let (src, dst) = pick_pair(&mut rng);
-        let (owns_src, owns_dst) = (plan.owns(src), plan.owns(dst));
-        let t0 = start_time(&mut rng, spec.arrival, &mut poisson_clock).min(spec.duration);
-        let scene = pick_scene(&mut rng);
+        let (t0, scene) = timing(&mut rng);
         // Which title this viewer plays: the flash-crowd fraction —
         // the *last* arrivals, as a real flash crowd piles onto an
         // already-playing hit — is pinned to title 0; the rest draw
@@ -754,7 +541,7 @@ pub fn compile_for(spec: &ScenarioSpec, plan: ShardPlan) -> Scenario {
             0
         };
 
-        let client = owns_dst.then(|| {
+        let client = sc.plan.owns(dst).then(|| {
             let ctl = PlaybackControl::shared(PlaybackPolicy::Synchronized {
                 target_latency: spec.vod_target_latency,
             });
@@ -764,80 +551,25 @@ pub fn compile_for(spec: &ScenarioSpec, plan: ShardPlan) -> Scenario {
             });
             (ctl, stream, sink)
         });
-        let credit_sink = (bp.enabled && owns_dst)
-            .then(|| CreditSink::wrap(client.as_ref().expect("owner builds the client").2.clone()));
-        let client_ep = match (&credit_sink, &client) {
-            (Some(cs), _) => sys.device(dst, cs.clone()),
-            (None, Some((_, _, sink))) => sys.device(dst, sink.clone()),
-            (None, None) => sys.device(dst, NullSink::shared()),
-        };
-        let server_ep = sys.device(src, HostNic::shared());
-
-        let req = SessionRequest {
-            class: SessionClass::Vod,
-            media_flows: vec![FlowRequest {
-                src: server_ep,
-                dst: client_ep,
-                bps: req_bps,
-            }],
-            fixed_flows: Vec::new(),
-            cpu_micro: req_cpu,
-            pfs_server: Some(i % n_servers),
-        };
-        let grant = decide(&mut scenario, &mut sys, &mut broker, &req);
-        if !grant.is_admitted() {
-            continue;
-        }
-        let (vc_src, vc_dst) = (grant.vcs[0].src_vci, grant.vcs[0].dst_vci);
-
+        let (client_ep, gate) =
+            sc.attach_consumer(dst, client.as_ref().map(|c| c.2.clone()), credited);
+        let server_ep = sc.sys.device(src, HostNic::shared());
         // The continuous-media stack pushes tiles at frame rate; the
         // camera model doubles as that paced pusher, renegotiated down
         // with the rest of the session when degraded.
-        let cam_cfg = camera_for(spec.camera, grant.quality_milli);
-        let cam = owns_src.then(|| sys.camera_on(server_ep, scene, cam_cfg, vc_src));
-        let credit = bp.enabled.then(|| {
-            let w = wire_credit(
-                &plan,
-                ret_delay,
-                bp.window_cells,
-                vc_dst,
-                src,
-                dst,
-                credit_sink.as_ref(),
-                &mut scenario.credit_windows,
-                &scenario.credit_out,
-            );
-            if let (Some(w), Some(cam)) = (&w, &cam) {
-                cam.borrow_mut().set_credit(w.clone());
-            }
-            w
-        });
-        let credit = credit.flatten();
-        if owns_src {
-            scenario.tx_links.push(sys.net.endpoint_tx(server_ep));
-        }
-        if let Some((ctl, stream, sink)) = client {
-            scenario.vod_clients.push((ctl, stream, sink));
-        }
+        let mut req = sc.request(SessionClass::Vod, server_ep, client_ep);
+        req.pfs_server = Some(i % n_servers);
+        let Some(grant) = sc.install(&req, (src, dst), gate.as_ref(), scene, t0) else {
+            continue;
+        };
         // Disk side: admit the stream on its granted server at the rate
         // the broker's contract actually buys — the same hint drives
         // the CM reservation and the cache's prefetch horizon.
         let granted_disk = grant.disk_rate_hint(req_disk);
-        let stranded = vec![false; grant.vcs.len()];
-        scenario.books.push(SessionBook {
-            grant,
-            class: SessionClass::Vod,
-            camera: cam.clone(),
-            credit,
-            stranded,
-        });
-        if let Some(cam) = cam {
-            let (c_start, c_stop) = (cam.clone(), cam);
-            sim.schedule_at(t0, move |sim| Camera::start(&c_start, sim));
-            sim.schedule_at(spec.duration, move |_| c_stop.borrow_mut().stop());
-        }
-        if plan.materialize_pfs {
-            let server = &mut scenario.vod_servers[i % n_servers];
+        sc.vod_clients
+            .extend(client.map(|(ctl, stream, _)| (ctl, stream)));
+        if sc.plan.materialize_pfs {
+            let server = &mut sc.vod_servers[i % n_servers];
             let fid = server.files[title.min(server.files.len() - 1)];
             server
                 .cm
@@ -856,88 +588,30 @@ pub fn compile_for(spec: &ScenarioSpec, plan: ShardPlan) -> Scenario {
         let feeds = group.min(tv_left);
         tv_left -= feeds;
         let dst = rng.gen_range(0..n_fabric);
-        let owns_dst = plan.owns(dst);
-        let display = owns_dst.then(&make_display);
+        let display = sc.plan.owns(dst).then(&make_display);
         // One credit gate per control room: every admitted feed
         // registers its own window on it, keyed by delivery VCI.
-        let credit_sink = (bp.enabled && owns_dst)
-            .then(|| CreditSink::wrap(display.clone().expect("owner builds the display")));
-        let disp_ep = match (&credit_sink, &display) {
-            (Some(cs), _) => sys.device(dst, cs.clone()),
-            (None, Some(d)) => sys.device(dst, d.clone()),
-            (None, None) => sys.device(dst, NullSink::shared()),
-        };
-        let wm = display.as_ref().map(|d| {
-            scenario.tv_displays.push(d.clone());
-            Rc::new(RefCell::new(WindowManager::new(d.clone(), 1)))
+        let (disp_ep, gate) = sc.attach_consumer(dst, display.clone(), credited);
+        let wm = display.map(|d| {
+            sc.displays.push((d.clone(), false));
+            Rc::new(RefCell::new(WindowManager::new(d, 1)))
         });
         let mut feed_vcis = Vec::new();
         let mut group_t0 = spec.duration;
         for _ in 0..feeds {
             let src = rng.gen_range(0..n_fabric);
-            let owns_src = plan.owns(src);
-            let t0 = start_time(&mut rng, spec.arrival, &mut poisson_clock).min(spec.duration);
-            let scene = pick_scene(&mut rng);
-            let cam_ep = sys.device(src, HostNic::shared());
-
-            let req = SessionRequest {
-                class: SessionClass::Tv,
-                media_flows: vec![FlowRequest {
-                    src: cam_ep,
-                    dst: disp_ep,
-                    bps: req_bps,
-                }],
-                fixed_flows: Vec::new(),
-                cpu_micro: req_cpu,
-                pfs_server: None,
-            };
-            let grant = decide(&mut scenario, &mut sys, &mut broker, &req);
-            if !grant.is_admitted() {
+            let (t0, scene) = timing(&mut rng);
+            let cam_ep = sc.sys.device(src, HostNic::shared());
+            let req = sc.request(SessionClass::Tv, cam_ep, disp_ep);
+            let Some(grant) = sc.install(&req, (src, dst), gate.as_ref(), scene, t0) else {
                 continue;
-            }
-            let (vc_src, vc_dst) = (grant.vcs[0].src_vci, grant.vcs[0].dst_vci);
+            };
+            let vc_dst = grant.vcs[0].dst_vci;
             group_t0 = group_t0.min(t0);
-
             if let Some(wm) = &wm {
                 wm.borrow_mut().create(vc_dst, Rect::new(0, 0, 176, 144));
             }
             feed_vcis.push(vc_dst);
-            let cam_cfg = camera_for(spec.camera, grant.quality_milli);
-            let cam = owns_src.then(|| sys.camera_on(cam_ep, scene, cam_cfg, vc_src));
-            let credit = bp.enabled.then(|| {
-                let w = wire_credit(
-                    &plan,
-                    ret_delay,
-                    bp.window_cells,
-                    vc_dst,
-                    src,
-                    dst,
-                    credit_sink.as_ref(),
-                    &mut scenario.credit_windows,
-                    &scenario.credit_out,
-                );
-                if let (Some(w), Some(cam)) = (&w, &cam) {
-                    cam.borrow_mut().set_credit(w.clone());
-                }
-                w
-            });
-            let credit = credit.flatten();
-            if owns_src {
-                scenario.tx_links.push(sys.net.endpoint_tx(cam_ep));
-            }
-            let stranded = vec![false; grant.vcs.len()];
-            scenario.books.push(SessionBook {
-                grant,
-                class: SessionClass::Tv,
-                camera: cam.clone(),
-                credit,
-                stranded,
-            });
-            if let Some(cam) = cam {
-                let (c_start, c_stop) = (cam.clone(), cam);
-                sim.schedule_at(t0, move |sim| Camera::start(&c_start, sim));
-                sim.schedule_at(spec.duration, move |_| c_stop.borrow_mut().stop());
-            }
         }
         // The director cuts round-robin through the admitted feeds: one
         // window raise per cut, pure control, run where the control
@@ -949,7 +623,7 @@ pub fn compile_for(spec: &ScenarioSpec, plan: ShardPlan) -> Scenario {
             while t < spec.duration {
                 let wm = wm.clone();
                 let vci = feed_vcis[cut_no % feed_vcis.len()];
-                sim.schedule_at(t, move |_| wm.borrow_mut().raise(vci));
+                sc.sim.schedule_at(t, move |_| wm.borrow_mut().raise(vci));
                 cut_no += 1;
                 t += spec.tv_cut_period;
             }
@@ -958,8 +632,8 @@ pub fn compile_for(spec: &ScenarioSpec, plan: ShardPlan) -> Scenario {
 
     // ---- Fault schedule: network incidents armed on the engine. ----
     // `SwitchDeath` and `DiskFail` are not armed here: the first needs
-    // the (exclusively owned) `Network` for signalling repair, so
-    // [`Scenario::run`] applies it between engine segments at the fault
+    // the (exclusively owned) `Network` for signalling repair, so the
+    // epoch driver applies it between engine segments at the fault
     // time; the second lands on the post-hoc CM replay.
     for fault in &spec.faults {
         match *fault {
@@ -968,26 +642,26 @@ pub fn compile_for(spec: &ScenarioSpec, plan: ShardPlan) -> Scenario {
                 switch,
                 queue_capacity,
             } => {
-                assert!(switch < sys.fabric.len(), "fault names a fabric switch");
+                assert!(switch < n_fabric, "fault names a fabric switch");
                 // Armed only on the owner: the degradation bites where
                 // cells transit the switch, and only the owner's
                 // replica carries traffic.
-                if plan.owns(switch) {
-                    let sw = sys.net.switch(sys.fabric[switch]).clone();
-                    sim.schedule_at(at.min(spec.duration), move |_| {
+                if sc.plan.owns(switch) {
+                    let sw = sc.sys.net.switch(sc.sys.fabric[switch]).clone();
+                    sc.sim.schedule_at(at.min(spec.duration), move |_| {
                         sw.borrow_mut().queue_capacity = queue_capacity;
                     });
                 }
             }
             FaultSpec::LinkFlap { at, until, switch } => {
-                assert!(switch < sys.fabric.len(), "fault names a fabric switch");
+                assert!(switch < n_fabric, "fault names a fabric switch");
                 assert!(until >= at, "flap must end after it starts");
                 // Outage drops happen at send time on the transmitting
                 // switch's output links, so the owner arms the flap —
                 // including on cut trunks, whose tx side it owns.
-                if plan.owns(switch) {
-                    let sw = sys.net.switch(sys.fabric[switch]).clone();
-                    sim.schedule_at(at.min(spec.duration), move |_| {
+                if sc.plan.owns(switch) {
+                    let sw = sc.sys.net.switch(sc.sys.fabric[switch]).clone();
+                    sc.sim.schedule_at(at.min(spec.duration), move |_| {
                         for link in sw.borrow_mut().output_links_mut() {
                             link.set_outage_until(until);
                         }
@@ -1003,7 +677,7 @@ pub fn compile_for(spec: &ScenarioSpec, plan: ShardPlan) -> Scenario {
                 window,
             } => {
                 assert!(
-                    from_switch < sys.fabric.len() && to_switch < sys.fabric.len(),
+                    from_switch < n_fabric && to_switch < n_fabric,
                     "blast names fabric switches"
                 );
                 assert!(until >= at, "blast must end after it starts");
@@ -1021,43 +695,21 @@ pub fn compile_for(spec: &ScenarioSpec, plan: ShardPlan) -> Scenario {
                     rate_bps,
                     prop_delay: spec.topology.link.prop_delay,
                 };
-                let (owns_from, owns_to) = (plan.owns(from_switch), plan.owns(to_switch));
-                let csink = owns_to.then(|| CreditSink::wrap(NullSink::shared()));
-                let src_ep = sys.net.add_endpoint_auto(
-                    sys.fabric[from_switch],
+                let src_ep = sc.sys.net.add_endpoint_auto(
+                    sc.sys.fabric[from_switch],
                     blast_link,
                     NullSink::shared(),
                 );
-                let dst_ep = match &csink {
-                    Some(cs) => sys.net.add_endpoint_auto(
-                        sys.fabric[to_switch],
-                        spec.topology.link,
-                        cs.clone(),
-                    ),
-                    None => sys.net.add_endpoint_auto(
-                        sys.fabric[to_switch],
-                        spec.topology.link,
-                        NullSink::shared(),
-                    ),
-                };
-                let vc = sys
+                let sink = sc.plan.owns(to_switch).then(NullSink::shared);
+                let (dst_ep, gate) = sc.attach_consumer(to_switch, sink, true);
+                let vc = sc
+                    .sys
                     .net
                     .open_vc(src_ep, dst_ep, QosSpec::best_effort(0))
                     .expect("best-effort blast needs only a route");
-                let w = wire_credit(
-                    &plan,
-                    ret_delay,
-                    window,
-                    vc.dst_vci,
-                    from_switch,
-                    to_switch,
-                    csink.as_ref(),
-                    &mut scenario.credit_windows,
-                    &scenario.credit_out,
-                );
-                if owns_from {
-                    let tx = sys.net.endpoint_tx(src_ep);
-                    scenario.tx_links.push(tx.clone());
+                let w = sc.wire_credit(window, vc.dst_vci, (from_switch, to_switch), gate.as_ref());
+                if sc.plan.owns(from_switch) {
+                    let tx = sc.sys.net.endpoint_tx(src_ep);
                     // Offer bursts at the injector's line rate; an empty
                     // window holds the whole burst at the source.
                     const BURST: u64 = 32;
@@ -1065,9 +717,7 @@ pub fn compile_for(spec: &ScenarioSpec, plan: ShardPlan) -> Scenario {
                     let vci = vc.src_vci;
                     let until_t = until.min(spec.duration);
                     let pump_w = w.clone().expect("pump owner holds the window");
-                    sim.schedule_at(at.min(spec.duration), move |sim| {
-                        let pump_w = pump_w.clone();
-                        let tx = tx.clone();
+                    sc.sim.schedule_at(at.min(spec.duration), move |sim| {
                         sim.schedule_chain(move |sim| {
                             if sim.now() >= until_t {
                                 return None;
@@ -1082,10 +732,10 @@ pub fn compile_for(spec: &ScenarioSpec, plan: ShardPlan) -> Scenario {
                         });
                     });
                 }
-                scenario.blasts.push((vc, w, false));
+                sc.blasts.push((vc, w, false));
             }
             FaultSpec::SwitchDeath { switch, .. } => {
-                assert!(switch < sys.fabric.len(), "fault names a fabric switch");
+                assert!(switch < n_fabric, "fault names a fabric switch");
             }
             FaultSpec::DiskFail { server, disk, .. } => {
                 // Validated against the planned server count, not the
@@ -1103,54 +753,156 @@ pub fn compile_for(spec: &ScenarioSpec, plan: ShardPlan) -> Scenario {
 
     // Sealed credit returns and remote reclaims look windows up by
     // delivery VCI; sort once so application is a binary search.
-    scenario.credit_windows.sort_by_key(|e| e.0);
-    scenario.sys = sys;
-    scenario.sim = sim;
-    scenario.broker = broker;
-    scenario.plan = plan;
-    scenario
-}
-
-/// A point on the control-plane timeline where the engine must pause:
-/// a switch death (structural repair) or a congestion epoch boundary
-/// (sampling + renegotiation). Every shard computes the same marks
-/// from the spec, so the executor's epoch loop and the classic path
-/// pause at identical instants.
-pub(crate) enum ControlMark {
-    /// `SwitchDeath` fault on this fabric switch.
-    Death(usize),
-    /// Backpressure congestion-epoch boundary.
-    Epoch,
-}
-
-/// The sorted control-plane timeline of `spec`: deaths at their fault
-/// times, epoch boundaries on the backpressure grid. Stable by
-/// `(time, kind)` with deaths first, so a death at an epoch boundary
-/// lands before the sample — on every shard, and on the classic path.
-pub(crate) fn control_marks(spec: &ScenarioSpec) -> Vec<(Ns, ControlMark)> {
-    let bp = spec.backpressure;
-    let mut marks: Vec<(Ns, u8, ControlMark)> = spec
-        .faults
-        .iter()
-        .filter_map(|f| match *f {
-            FaultSpec::SwitchDeath { at, switch } => {
-                Some((at.min(spec.duration), 0u8, ControlMark::Death(switch)))
-            }
-            _ => None,
-        })
-        .collect();
-    if bp.enabled {
-        let mut t = bp.epoch.max(1);
-        while t <= spec.duration {
-            marks.push((t, 1, ControlMark::Epoch));
-            t += bp.epoch.max(1);
-        }
-    }
-    marks.sort_by_key(|&(t, tag, _)| (t, tag));
-    marks.into_iter().map(|(t, _, m)| (t, m)).collect()
+    sc.credit_windows.sort_by_key(|e| e.0);
+    sc
 }
 
 impl Scenario {
+    /// Attaches a consumer endpoint on fabric switch `dst`. The shard
+    /// owning `dst` passes its `sink`, fronted by a credit gate when the
+    /// circuit is `credited` (the gate's return path is wired once
+    /// admission fixes the delivery VCI). Other shards pass `None` and
+    /// get a [`NullSink`]: an unowned endpoint never receives a cell, so
+    /// the stand-in keeps endpoint and VCI numbering identical while
+    /// heavy device state (framebuffers, jitter buffers) is never built.
+    fn attach_consumer<S: CellSink + 'static>(
+        &mut self,
+        dst: usize,
+        sink: Option<Rc<RefCell<S>>>,
+        credited: bool,
+    ) -> (EndpointId, Option<Rc<RefCell<CreditSink>>>) {
+        let sink: Option<SinkRef> = sink.map(|s| s as SinkRef);
+        let gate = sink.clone().filter(|_| credited).map(CreditSink::wrap);
+        let rx: SinkRef = match (&gate, sink) {
+            (Some(g), _) => g.clone(),
+            (None, Some(s)) => s,
+            (None, None) => NullSink::shared(),
+        };
+        (self.sys.device(dst, rx), gate)
+    }
+
+    /// A session request of `class` with one media flow `src → dst` at
+    /// the requested video rate and CPU share (both scaled by the mix's
+    /// `load`); the class adds its own fixed flows or file server.
+    fn request(&self, class: SessionClass, src: EndpointId, dst: EndpointId) -> SessionRequest {
+        let load = self.spec.mix.load;
+        SessionRequest {
+            class,
+            media_flows: vec![FlowRequest {
+                src,
+                dst,
+                bps: (self.spec.video_bps as f64 * load).round() as u64,
+            }],
+            fixed_flows: Vec::new(),
+            cpu_micro: (self.spec.broker.cpu_per_session_micro as f64 * load).round() as u64,
+            pfs_server: None,
+        }
+    }
+
+    /// The one session installer. Admits `req` through the broker and
+    /// records the contract; a rejected session is not wired at all
+    /// (`None`). An admitted one gets, on the shard owning the producer
+    /// switch `src`, a camera at the granted rung on media flow 0's
+    /// source endpoint, armed to start at `t0` and stop at the run's
+    /// end; with backpressure on, the circuit's credits are wired
+    /// between that camera and the consumer's `gate` on `dst`. The
+    /// session is booked either way, and its live grant returned.
+    fn install(
+        &mut self,
+        req: &SessionRequest,
+        (src, dst): (usize, usize),
+        gate: Option<&Rc<RefCell<CreditSink>>>,
+        scene: Scene,
+        t0: Ns,
+    ) -> Option<&SessionGrant> {
+        let grant = self.sys.admit_session(&mut self.broker, req);
+        self.tally
+            .record(&grant, req.class, &self.sys.net, &self.broker);
+        self.contracts.push(SessionContract {
+            class: req.class,
+            outcome: grant.outcome,
+            requested: grant.requested,
+            granted: grant.granted,
+        });
+        if !grant.is_admitted() {
+            return None;
+        }
+        let (ep, vc) = (req.media_flows[0].src, &grant.vcs[0]);
+        let camera = self.plan.owns(src).then(|| {
+            let cfg = camera_for(self.spec.camera, grant.quality_milli);
+            self.sys.camera_on(ep, scene, cfg, vc.src_vci)
+        });
+        let bp = self.spec.backpressure;
+        let credit = bp
+            .enabled
+            .then(|| self.wire_credit(bp.window_cells, vc.dst_vci, (src, dst), gate))
+            .flatten();
+        if let Some(cam) = &camera {
+            if let Some(w) = &credit {
+                cam.borrow_mut().set_credit(w.clone());
+            }
+            let (start, stop) = (cam.clone(), cam.clone());
+            self.sim
+                .schedule_at(t0, move |sim| Camera::start(&start, sim));
+            self.sim
+                .schedule_at(self.spec.duration, move |_| stop.borrow_mut().stop());
+        }
+        self.books.push(SessionBook {
+            stranded: vec![false; grant.vcs.len()],
+            class: req.class,
+            grant,
+            camera,
+            credit,
+        });
+        self.books.last().map(|b| &b.grant)
+    }
+
+    /// Wires one credited circuit's two halves as this shard sees them.
+    ///
+    /// The producer half (the window, created iff this shard owns the
+    /// source switch) is returned and recorded in the registry so sealed
+    /// returns and remote reclaims can find it. The consumer half — how
+    /// drained cells' credits travel back — is registered on `gate`
+    /// (built iff this shard owns the destination switch) by geometry
+    /// and ownership: same switch → immediate; cross-switch with the
+    /// window in this address space → delayed by one reverse trunk
+    /// crossing; cross-shard → sealed export records addressed to the
+    /// producer's shard.
+    fn wire_credit(
+        &mut self,
+        window_cells: u64,
+        dst_vci: Vci,
+        (src, dst): (usize, usize),
+        gate: Option<&Rc<RefCell<CreditSink>>>,
+    ) -> Option<CreditRef> {
+        // Cross-switch circuits return credits one reverse trunk crossing
+        // later: serialization (ceiling division, so never below the
+        // executor's floored lookahead) plus propagation. A pure function
+        // of the spec — identical at every shard count, and applied on the
+        // classic path too, so the physics don't depend on the plan.
+        let link = self.spec.topology.link;
+        let ret_delay: Ns = tx_time(CELL_SIZE, link.rate_bps) + link.prop_delay;
+        let window = self.plan.owns(src).then(|| {
+            let w = CreditWindow::shared(window_cells);
+            self.credit_windows.push((dst_vci, w.clone()));
+            w
+        });
+        if let Some(cs) = gate {
+            let mut cs = cs.borrow_mut();
+            if src == dst {
+                // Same switch ⇒ same owner: the window is always local and
+                // the return is a same-host wire.
+                cs.register(dst_vci, window.clone().expect("same switch, same shard"));
+            } else if let Some(w) = &window {
+                cs.register_delayed(dst_vci, w.clone(), ret_delay);
+            } else {
+                let producer = self.plan.owner_of(src);
+                cs.register_export(dst_vci, ret_delay, self.credit_out[producer].clone());
+            }
+        }
+        window
+    }
+
     /// The shard plan this scenario was compiled under.
     pub fn plan(&self) -> &ShardPlan {
         &self.plan
@@ -1169,31 +921,77 @@ impl Scenario {
     }
 
     /// Settles the fabric's per-VCI drop counters against the session
-    /// books (see [`reconcile_drops`]). Reclaims against windows this
+    /// books: every dropped cell on a credited circuit has its credit
+    /// reclaimed (the consumer will never see the cell, so it can never
+    /// return it), and drops on an *admitted* session's circuits are
+    /// attributed by cause. Returns `(admitted overflow, admitted
+    /// outage)` for the cells report. Reclaims against windows this
     /// shard owns happen in place; drops on circuits whose window lives
     /// on another shard are appended to `remote` as `(delivery VCI, n)`
-    /// reclaim records for the executor to broadcast. The classic path
-    /// never produces any (one shard owns every window).
+    /// reclaim records for the transport to broadcast (a lone shard owns
+    /// every window and never produces any). VCIs are allocated from one
+    /// network-wide counter, so any hop's label identifies exactly one
+    /// circuit — on every shard.
     pub(crate) fn settle_drops(&self, remote: &mut Vec<(Vci, u64)>) -> (u64, u64) {
-        reconcile_drops(
-            &self.sys,
-            &self.books,
-            &self.blasts,
-            self.spec.backpressure.enabled,
-            remote,
-        )
-    }
-
-    /// The congestion controller the spec's hysteresis constants
-    /// define. Every shard builds an identical replica.
-    pub(crate) fn make_controller(&self) -> CongestionController {
-        let bp = self.spec.backpressure;
-        CongestionController::new(
-            bp.down_after,
-            bp.up_after,
-            bp.stall_threshold,
-            bp.headroom_cells,
-        )
+        let mut table: Vec<(Vci, Target, bool)> = Vec::new();
+        for b in &self.books {
+            for (i, vc) in b.grant.vcs.iter().enumerate() {
+                // Media flow 0 carries the credit window.
+                let target = if i == 0 && !b.stranded[i] {
+                    match &b.credit {
+                        Some(w) => Target::Local(w.clone()),
+                        None if self.spec.backpressure.enabled => Target::Remote(vc.dst_vci),
+                        None => Target::Skip,
+                    }
+                } else {
+                    Target::Skip
+                };
+                for vci in vc.vcis() {
+                    table.push((vci, target.clone(), true));
+                }
+            }
+        }
+        for (vc, w, stranded) in &self.blasts {
+            // Blasts are always credited, whatever the backpressure spec.
+            let target = if *stranded {
+                Target::Skip
+            } else {
+                match w {
+                    Some(w) => Target::Local(w.clone()),
+                    None => Target::Remote(vc.dst_vci),
+                }
+            };
+            for vci in vc.vcis() {
+                table.push((vci, target.clone(), false));
+            }
+        }
+        table.sort_by_key(|e| e.0);
+        let mut acc = (0u64, 0u64);
+        for i in 0..self.sys.net.switch_count() {
+            let mut sw = self.sys.net.switch(SwitchId(i)).borrow_mut();
+            let overflow = sw.take_dropped_by_vci();
+            let outage: Vec<(Vci, u64)> = sw
+                .output_links_mut()
+                .flat_map(|l| l.take_dropped_by_vci())
+                .collect();
+            for (drops, cause) in [(overflow, &mut acc.0), (outage, &mut acc.1)] {
+                for (vci, n) in drops {
+                    let Ok(idx) = table.binary_search_by_key(&vci, |e| e.0) else {
+                        continue;
+                    };
+                    let (_, target, admitted) = &table[idx];
+                    match target {
+                        Target::Local(w) => w.borrow_mut().reclaim(n),
+                        Target::Remote(dst_vci) => remote.push((*dst_vci, n)),
+                        Target::Skip => {}
+                    }
+                    if *admitted {
+                        *cause += n;
+                    }
+                }
+            }
+        }
+        acc
     }
 
     /// Samples this shard's slice of one epoch's congestion evidence:
@@ -1209,7 +1007,7 @@ impl Scenario {
             }
         }
         for i in 0..self.sys.net.switch_count() {
-            let sw = self.sys.net.switch(pegasus_atm::network::SwitchId(i));
+            let sw = self.sys.net.switch(SwitchId(i));
             sig.peak_queue_cells = sig
                 .peak_queue_cells
                 .max(sw.borrow_mut().stats.take_epoch_peak());
@@ -1219,52 +1017,40 @@ impl Scenario {
     }
 
     /// Kills fabric switch `switch` and repairs the circuits that
-    /// crossed it. Signalling walks every live circuit: those crossing
-    /// the corpse are re-routed with their endpoint VCIs pinned so the
-    /// attached devices (and their credit registrations, keyed by
-    /// delivery VCI) never notice; circuits that cannot be repaired are
-    /// stranded, their reservations released and their book slot marked
-    /// so no later renegotiation resizes a dead circuit. Runs on every
-    /// shard's full `Network` replica — route state is replicated, so
-    /// the walk is identical everywhere. Returns `(rerouted, stranded)`.
+    /// crossed it. Signalling walks every live circuit — sessions' in
+    /// book order, then the blasts: those crossing the corpse are
+    /// re-routed with their endpoint VCIs pinned so the attached devices
+    /// (and their credit registrations, keyed by delivery VCI) never
+    /// notice; circuits that cannot be repaired are stranded, their
+    /// reservations released and their slot marked so no later
+    /// renegotiation resizes a dead circuit. Runs on every shard's full
+    /// `Network` replica — route state is replicated, so the walk is
+    /// identical everywhere. Returns `(rerouted, stranded)`.
     pub(crate) fn apply_death(&mut self, switch: usize) -> (u64, u64) {
         let sw = self.sys.fabric[switch];
         self.sys.net.fail_switch(sw);
-        let mut rerouted = 0u64;
-        let mut stranded_n = 0u64;
-        for b in &mut self.books {
-            for (i, slot) in b.grant.vcs.iter_mut().enumerate() {
-                if b.stranded[i] || !slot.crosses_switch(sw) {
-                    continue;
-                }
-                match self.sys.net.reroute_vc(slot.clone()) {
-                    Ok(repaired) => {
-                        rerouted += 1;
-                        *slot = repaired;
-                    }
-                    Err(_) => {
-                        stranded_n += 1;
-                        b.stranded[i] = true;
-                    }
-                }
-            }
-        }
-        for (vc, _, stranded) in &mut self.blasts {
+        let mut tally = (0u64, 0u64);
+        let sessions = self
+            .books
+            .iter_mut()
+            .flat_map(|b| b.grant.vcs.iter_mut().zip(b.stranded.iter_mut()));
+        let blasts = self.blasts.iter_mut().map(|(vc, _, s)| (vc, s));
+        for (vc, stranded) in sessions.chain(blasts) {
             if *stranded || !vc.crosses_switch(sw) {
                 continue;
             }
             match self.sys.net.reroute_vc(vc.clone()) {
                 Ok(repaired) => {
-                    rerouted += 1;
+                    tally.0 += 1;
                     *vc = repaired;
                 }
                 Err(_) => {
-                    stranded_n += 1;
+                    tally.1 += 1;
                     *stranded = true;
                 }
             }
         }
-        (rerouted, stranded_n)
+        tally
     }
 
     /// Acts on one epoch's hysteresis verdict: one rung down under
@@ -1303,181 +1089,105 @@ impl Scenario {
         }
     }
 
-    /// Applies a sealed cross-shard credit return to the circuit's
-    /// window, parked until `apply_at`. Returns whether the window was
-    /// found — records are addressed to the producer's shard, so a miss
-    /// is an executor routing bug.
-    pub(crate) fn apply_credit_return(&self, dst_vci: Vci, apply_at: Ns, n: u64) -> bool {
-        match self.credit_windows.binary_search_by_key(&dst_vci, |e| e.0) {
-            Ok(idx) => {
-                self.credit_windows[idx]
-                    .1
-                    .borrow_mut()
-                    .release_at(apply_at, n);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    /// Applies a broadcast reclaim record (credits for cells another
-    /// shard watched the fabric drop). Returns whether this shard owns
-    /// the window; exactly one shard does, the rest ignore the record.
-    pub(crate) fn apply_remote_reclaim(&self, dst_vci: Vci, n: u64) -> bool {
-        match self.credit_windows.binary_search_by_key(&dst_vci, |e| e.0) {
-            Ok(idx) => {
-                self.credit_windows[idx].1.borrow_mut().reclaim(n);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    /// The buffer where consumer-side gates on this shard seal credit
-    /// returns addressed to `shard`'s windows.
-    pub(crate) fn credit_export(&self, shard: usize) -> CreditExportBuf {
-        self.credit_out[shard].clone()
+    /// The credit window this shard owns for the circuit delivering on
+    /// `dst_vci`, if any — where sealed credit returns and broadcast
+    /// drop reclaims land. Exactly one shard owns each window.
+    pub(crate) fn credit_window(&self, dst_vci: Vci) -> Option<&CreditRef> {
+        let idx = self
+            .credit_windows
+            .binary_search_by_key(&dst_vci, |e| e.0)
+            .ok()?;
+        Some(&self.credit_windows[idx].1)
     }
 
     /// Runs the compiled scenario to completion and reports — the
-    /// classic single-threaded path. Multi-shard scenarios are driven
-    /// by `crate::executor`, which runs the epoch loop itself and calls
-    /// `Scenario::collect` directly.
-    pub fn run(mut self) -> ScenarioReport {
+    /// classic single-threaded path: the epoch driver over the one-shard
+    /// transport. The driver resumes from wherever the engine's clock
+    /// stands, so for a spec without control marks an engine advanced
+    /// by hand with `sim.run_until` reports exactly as a fresh one.
+    pub fn run(self) -> ScenarioReport {
         assert_eq!(
             self.plan.shards, 1,
-            "multi-shard scenarios run under the executor"
+            "multi-shard scenarios run under run_sharded"
         );
-        // Two kinds of timeline mark need the owned `Network`, so the
-        // engine runs in segments split at each one: switch deaths
-        // (structural — routing state plus signalling repair) and, when
-        // backpressure is on, congestion epochs (sampling, credit
-        // reconciliation, renegotiation). Splitting at an event boundary
-        // preserves determinism — the engine's schedule is identical
-        // whether or not it pauses there. The executor's epoch loop
-        // pauses at exactly the same marks and calls the same helpers,
-        // so the two paths cannot drift apart.
-        let mut controller = self.make_controller();
-        let mut vcs_rerouted = 0u64;
-        let mut vcs_stranded = 0u64;
-        let mut admitted_dropped = (0u64, 0u64); // (overflow, outage)
-        let mut remote: Vec<(Vci, u64)> = Vec::new();
-        for (at, mark) in control_marks(&self.spec) {
-            self.sim.run_until(at);
-            match mark {
-                ControlMark::Death(switch) => {
-                    let (r, s) = self.apply_death(switch);
-                    vcs_rerouted += r;
-                    vcs_stranded += s;
-                }
-                ControlMark::Epoch => {
-                    // Sample the epoch's congestion evidence, settle
-                    // dropped cells' credits so producers never wedge
-                    // on cells that will never arrive, and act on the
-                    // hysteresis verdict.
-                    let sig = self.sample_epoch_signal();
-                    let (ov, ou) = self.settle_drops(&mut remote);
-                    debug_assert!(remote.is_empty(), "one shard owns every window");
-                    admitted_dropped.0 += ov;
-                    admitted_dropped.1 += ou;
-                    let verdict = controller.observe(&sig.into_signal());
-                    self.apply_verdict(verdict, at);
-                }
-            }
-        }
-        self.sim.run_until(self.end_time());
-        // Settle drops from the drain window (and, with the monitor
-        // off, the whole run) so attribution covers every dropped cell.
-        let (ov, ou) = self.settle_drops(&mut remote);
-        debug_assert!(remote.is_empty(), "one shard owns every window");
-        admitted_dropped.0 += ov;
-        admitted_dropped.1 += ou;
-
         let spec = self.spec.clone();
-        let outcome = self.collect(
-            vcs_rerouted,
-            vcs_stranded,
-            admitted_dropped,
-            ShardRuntime::default(),
-        );
-        assemble(&spec, vec![outcome])
+        assemble(&spec, vec![drive(self, &mut Solo)])
     }
 
     /// Folds this shard's owned devices and switches into a portable
     /// [`ShardOutcome`]. Consumes the scenario: the `Rc`-laden world
-    /// stays on its thread, only plain measurements cross.
+    /// stays on its thread, only plain measurements cross. `slice` is
+    /// the transport's runtime counters for the `shards` block.
     pub(crate) fn collect(
         mut self,
         vcs_rerouted: u64,
         vcs_stranded: u64,
         admitted_dropped: (u64, u64),
-        runtime: ShardRuntime,
+        slice: ShardSlice,
     ) -> ShardOutcome {
+        let events = self.sim.events_executed();
+        let mut r = ScenarioReport {
+            events_executed: events,
+            vcs_rerouted,
+            vcs_stranded,
+            shards: vec![ShardSlice {
+                shard: self.plan.shard as u64,
+                events,
+                ..slice
+            }],
+            ..ScenarioReport::default()
+        };
+        let mut hists: [(Histogram, Histogram); 3] = Default::default();
+        let [video, audio, vod] = &mut hists;
+
         // Video class: every owned display (videophone windows + TV
         // stacks). Jitter is a per-stream quantity (latency in excess
         // of the stream's own floor), so only single-stream displays
         // feed it: a TV control room merges feeds with different hop
         // counts, and subtracting one shared floor would read the
         // constant path-delay differences as jitter.
-        let mut tiles_blitted = 0u64;
-        let mut video_lat = Histogram::new();
-        let mut video_jit = Histogram::new();
-        for d in &self.displays {
+        for (d, single_stream) in &self.displays {
             let d = d.borrow();
-            tiles_blitted += d.stats.tiles_blitted;
-            video_lat.merge(&d.stats.latency);
-            video_jit.merge(&d.stats.latency.jitter_histogram());
-        }
-        for d in &self.tv_displays {
-            let d = d.borrow();
-            tiles_blitted += d.stats.tiles_blitted;
-            video_lat.merge(&d.stats.latency);
+            r.tiles_blitted += d.stats.tiles_blitted;
+            video.0.merge(&d.stats.latency);
+            if *single_stream {
+                video.1.merge(&d.stats.latency.jitter_histogram());
+            }
         }
 
         // Audio class: DAC play-out.
-        let mut audio_underruns = 0u64;
-        let mut audio_lat = Histogram::new();
-        let mut audio_jit = Histogram::new();
         for s in &self.audio_sinks {
             let s = s.borrow();
-            audio_underruns += s.stats.underruns;
-            audio_lat.merge(&s.stats.playout_latency);
-            audio_jit.merge(&s.stats.playout_latency.jitter_histogram());
+            r.audio_underruns += s.stats.underruns;
+            audio.0.merge(&s.stats.playout_latency);
+            audio.1.merge(&s.stats.playout_latency.jitter_histogram());
         }
 
         // VoD class: synchronized presentations.
-        let mut vod_presented = 0u64;
-        let mut playback_late = 0u64;
-        let mut vod_lat = Histogram::new();
-        let mut vod_jit = Histogram::new();
-        for (ctl, stream, _sink) in &self.vod_clients {
+        for (ctl, stream) in &self.vod_clients {
             let ctl = ctl.borrow();
             let st = ctl.stats(*stream);
-            vod_presented += st.presented;
-            playback_late += ctl.late_total();
-            vod_lat.merge(&st.latency);
-            vod_jit.merge(&st.latency.jitter_histogram());
+            r.vod_presented += st.presented;
+            r.playback_late += ctl.late_total();
+            vod.0.merge(&st.latency);
+            vod.1.merge(&st.latency.jitter_histogram());
         }
 
-        // Cell accounting and queue depths. Only owned switches carried
-        // traffic — remote replicas are silent, so iterating all of
-        // them adds zeros and the per-shard numbers sum to the
-        // single-shard totals.
-        let mut cells = CellReport::default();
-        for link in &self.tx_links {
-            cells.sent += link.borrow().cells_sent();
+        // Cell accounting and queue depths. Only owned producers and
+        // switches carried traffic — remote replicas are silent and
+        // consumer endpoints never transmit, so iterating all of them
+        // adds zeros and the per-shard numbers sum to the single-shard
+        // totals.
+        let (net, cells) = (&self.sys.net, &mut r.cells);
+        for ep in 0..net.endpoint_count() {
+            cells.sent += net.endpoint_tx(EndpointId(ep)).borrow().cells_sent();
         }
-        let mut peak_queue_cells = 0u64;
-        for i in 0..self.sys.net.switch_count() {
-            let sw = self
-                .sys
-                .net
-                .switch(pegasus_atm::network::SwitchId(i))
-                .borrow();
+        for i in 0..net.switch_count() {
+            let sw = net.switch(SwitchId(i)).borrow();
             cells.dropped_overflow += sw.stats.overflowed;
             cells.dropped_unroutable += sw.stats.unroutable;
             cells.dropped_outage += sw.cells_dropped_outage();
-            peak_queue_cells = peak_queue_cells.max(sw.stats.peak_queue_cells);
+            r.peak_queue_cells = r.peak_queue_cells.max(sw.stats.peak_queue_cells);
         }
         cells.admitted_dropped_overflow = admitted_dropped.0;
         cells.admitted_dropped_outage = admitted_dropped.1;
@@ -1485,31 +1195,29 @@ impl Scenario {
         // The flow-control plane's own ledger: stalls by class, frames
         // held at source, reclaimed credits, renegotiation history and
         // the constructive queue bound.
-        let mut bp_rep = BackpressureReport {
-            enabled: self.spec.backpressure.enabled,
-            ..BackpressureReport::default()
-        };
+        let bp = &mut r.backpressure;
+        bp.enabled = self.spec.backpressure.enabled;
         for b in &self.books {
             if let Some(w) = &b.credit {
                 let w = w.borrow();
                 match b.class {
-                    SessionClass::Videophone => bp_rep.credit_stalls.0 += w.stalls(),
-                    SessionClass::Vod => bp_rep.credit_stalls.1 += w.stalls(),
-                    SessionClass::Tv => bp_rep.credit_stalls.2 += w.stalls(),
+                    SessionClass::Videophone => bp.credit_stalls.0 += w.stalls(),
+                    SessionClass::Vod => bp.credit_stalls.1 += w.stalls(),
+                    SessionClass::Tv => bp.credit_stalls.2 += w.stalls(),
                 }
-                bp_rep.credits_reclaimed += w.reclaimed();
-                bp_rep.queue_bound_cells += w.window();
+                bp.credits_reclaimed += w.reclaimed();
+                bp.queue_bound_cells += w.window();
             }
             if let Some(cam) = &b.camera {
-                bp_rep.frames_skipped += cam.borrow().stats.frames_skipped;
+                bp.frames_skipped += cam.borrow().stats.frames_skipped;
                 // Renegotiation replays on every shard's replicated
                 // grant; count each session's history exactly once, on
                 // the shard owning its producer.
-                for r in &b.grant.history {
-                    if r.to_milli < r.from_milli {
-                        bp_rep.renegotiations_down += 1;
+                for h in &b.grant.history {
+                    if h.to_milli < h.from_milli {
+                        bp.renegotiations_down += 1;
                     } else {
-                        bp_rep.renegotiations_up += 1;
+                        bp.renegotiations_up += 1;
                     }
                 }
             }
@@ -1517,53 +1225,25 @@ impl Scenario {
         for (_, w, _) in &self.blasts {
             if let Some(w) = w {
                 let w = w.borrow();
-                bp_rep.credits_reclaimed += w.reclaimed();
-                bp_rep.queue_bound_cells += w.window();
+                bp.credits_reclaimed += w.reclaimed();
+                bp.queue_bound_cells += w.window();
             }
         }
 
         // Coordinator-only sections: the replays and the
         // replicated-identical ledgers.
-        let coord = if self.plan.materialize_pfs {
-            let pfs = self.replay_pfs();
+        if self.plan.materialize_pfs {
+            r.pfs = self.replay_pfs();
             // Read the cache counters only after the replay: the tiers
             // fill during it, not during the live network run.
-            let cache = self.cache_report();
-            let nemesis = self.replay_nemesis();
-            Some(CoordinatorOutcome {
-                switches: self.sys.net.switch_count() as u64,
-                endpoints: self.sys.net.endpoint_count() as u64,
-                max_link_utilization: self.sys.net.max_reservation_utilization(),
-                broker: std::mem::take(&mut self.tally).into_report(),
-                pfs,
-                cache,
-                nemesis,
-            })
-        } else {
-            None
-        };
-
-        ShardOutcome {
-            shard: self.plan.shard,
-            events_executed: self.sim.events_executed(),
-            runtime,
-            tiles_blitted,
-            video_lat,
-            video_jit,
-            audio_underruns,
-            audio_lat,
-            audio_jit,
-            vod_presented,
-            playback_late,
-            vod_lat,
-            vod_jit,
-            cells,
-            peak_queue_cells,
-            vcs_rerouted,
-            vcs_stranded,
-            bp: bp_rep,
-            coord,
+            r.cache = self.cache_report();
+            r.nemesis = self.replay_nemesis();
+            r.switches = self.sys.net.switch_count() as u64;
+            r.endpoints = self.sys.net.endpoint_count() as u64;
+            r.max_link_utilization = self.sys.net.max_reservation_utilization();
+            r.broker = std::mem::take(&mut self.tally).into_report();
         }
+        ShardOutcome { report: r, hists }
     }
 
     /// File-server side of VoD: replay the CM schedule. A server
@@ -1574,20 +1254,6 @@ impl Scenario {
     /// calls except the per-stream offsets, so the split replay is
     /// byte-identical to an unsplit one at the same health.
     fn replay_pfs(&mut self) -> PfsReport {
-        /// One replay span, through the tiered cache when the server
-        /// has one. The cache only changes *where* bytes come from
-        /// (and so the disk clock), never which bytes a stream gets.
-        fn play(
-            cm: &mut CmScheduler,
-            fs: &mut LogFs,
-            cache: &mut Option<TieredCache>,
-            n: u64,
-        ) -> Result<pegasus_pfs::cm::CmReport, pegasus_pfs::log::FsError> {
-            match cache {
-                Some(c) => cm.run_periods_tiered(fs, c, n),
-                None => cm.run_periods(fs, n),
-            }
-        }
         let spec = &self.spec;
         let periods = vod_periods(spec.duration);
         let mut pfs = PfsReport::default();
@@ -1608,42 +1274,45 @@ impl Scenario {
                 }
                 _ => None,
             });
-            let mut fold = |r: &pegasus_pfs::cm::CmReport| {
+            let VodServer { fs, cm, cache, .. } = server;
+            // One replay span, through the tiered cache when the server
+            // has one. The cache only changes *where* bytes come from
+            // (and so the disk clock), never which bytes a stream gets.
+            let mut play = |fs: &mut LogFs, n: u64, why: &str| {
+                let r = match cache {
+                    Some(c) => cm.run_periods_tiered(fs, c, n),
+                    None => cm.run_periods(fs, n),
+                }
+                .expect(why);
                 pfs.periods += r.periods;
                 pfs.missed += r.missed;
                 pfs.bytes_delivered += r.bytes_delivered;
             };
-            let VodServer { fs, cm, cache, .. } = server;
-            match incident {
-                Some((fail_p, rep_p, disk)) if fail_p < periods => {
-                    let rep_p = rep_p.min(periods);
-                    let r = play(cm, fs, cache, fail_p).expect("prerecorded file");
-                    fold(&r);
-                    fs.raid_mut().disk_mut(disk).fail();
-                    let r = play(cm, fs, cache, rep_p - fail_p)
-                        .expect("degraded reads reconstruct through parity");
-                    fold(&r);
-                    // Swap the spindle and rebuild it from the
-                    // survivors. Rebuild I/O is charged at the RAID
-                    // layer, not against the log's clock, so the
-                    // remaining periods' deadline accounting is clean —
-                    // the array is simply whole again.
-                    fs.raid_mut().disk_mut(disk).replace();
-                    let stripes = fs.used_segments() as u64;
-                    let t = fs
-                        .raid_mut()
-                        .rebuild_disk(disk, stripes)
-                        .expect("single failure is rebuildable");
-                    pfs.rebuilds += 1;
-                    pfs.rebuild_ns += t;
-                    let r = play(cm, fs, cache, periods - rep_p).expect("prerecorded file");
-                    fold(&r);
-                }
-                _ => {
-                    let r = play(cm, fs, cache, periods).expect("prerecorded file");
-                    fold(&r);
-                }
-            }
+            let Some((fail_p, rep_p, disk)) = incident.filter(|i| i.0 < periods) else {
+                play(fs, periods, "prerecorded file");
+                continue;
+            };
+            let rep_p = rep_p.min(periods);
+            play(fs, fail_p, "prerecorded file");
+            fs.raid_mut().disk_mut(disk).fail();
+            play(
+                fs,
+                rep_p - fail_p,
+                "degraded reads reconstruct through parity",
+            );
+            // Swap the spindle and rebuild it from the survivors. Rebuild
+            // I/O is charged at the RAID layer, not against the log's
+            // clock, so the remaining periods' deadline accounting is
+            // clean — the array is simply whole again.
+            fs.raid_mut().disk_mut(disk).replace();
+            let stripes = fs.used_segments() as u64;
+            let t = fs
+                .raid_mut()
+                .rebuild_disk(disk, stripes)
+                .expect("single failure is rebuildable");
+            play(fs, periods - rep_p, "prerecorded file");
+            pfs.rebuilds += 1;
+            pfs.rebuild_ns += t;
         }
         // Throughput over the replayed window (which may exceed a short
         // run's duration: at least one full service period is played).
@@ -1685,7 +1354,9 @@ impl Scenario {
             r.warm_milli = r.warm_hits * 1000 / total;
             r.cold_milli = 1000 - r.hot_milli - r.warm_milli;
         }
-        r.crowded_title_hot_milli = (crowd_hot * 1000).checked_div(r.crowd_accesses).unwrap_or(0);
+        r.crowded_title_hot_milli = (crowd_hot * 1000)
+            .checked_div(r.crowd_accesses)
+            .unwrap_or(0);
         r.disk_io_saved_cells = bytes_saved / 48;
         r
     }
@@ -1747,110 +1418,71 @@ impl Scenario {
 /// Merges per-shard outcomes into the final [`ScenarioReport`].
 ///
 /// With one outcome this reproduces the classic report exactly; with
-/// several, counters sum, peaks take the max, and histograms merge in
-/// shard order. Summaries are insensitive to that merge order — the
-/// percentile pass sorts the samples and the mean is computed over the
-/// sorted data — so the canonical JSON is identical at any shard count.
+/// several, counters sum onto the coordinator's slice, peaks take the
+/// max, and histograms merge in shard order. Summaries are insensitive
+/// to that merge order — the percentile pass sorts the samples and the
+/// mean is computed over the sorted data — so the canonical JSON is
+/// identical at any shard count.
 pub fn assemble(spec: &ScenarioSpec, mut outcomes: Vec<ShardOutcome>) -> ScenarioReport {
-    outcomes.sort_by_key(|o| o.shard);
-    let coord = outcomes
-        .iter_mut()
-        .find_map(|o| o.coord.take())
-        .expect("one outcome carries the coordinator sections");
-    let counts = spec.mix.counts(spec.sessions);
-    let mut report = ScenarioReport {
-        schema_version: SCHEMA_VERSION,
-        name: spec.name.clone(),
-        seed: spec.seed,
-        duration: spec.duration,
-        switches: coord.switches,
-        endpoints: coord.endpoints,
-        sessions: (counts.0 as u64, counts.1 as u64, counts.2 as u64),
-        broker: coord.broker,
-        max_link_utilization: coord.max_link_utilization,
-        pfs: coord.pfs,
-        cache: coord.cache,
-        nemesis: coord.nemesis,
-        ..ScenarioReport::default()
-    };
-
-    let mut video_lat = Histogram::new();
-    let mut video_jit = Histogram::new();
-    let mut audio_lat = Histogram::new();
-    let mut audio_jit = Histogram::new();
-    let mut vod_lat = Histogram::new();
-    let mut vod_jit = Histogram::new();
-    let mut cells = CellReport::default();
-    let mut bp_rep = BackpressureReport {
-        enabled: spec.backpressure.enabled,
-        ..BackpressureReport::default()
-    };
-    for o in &outcomes {
-        report.events_executed += o.events_executed;
-        report.tiles_blitted += o.tiles_blitted;
-        video_lat.merge(&o.video_lat);
-        video_jit.merge(&o.video_jit);
-        report.audio_underruns += o.audio_underruns;
-        audio_lat.merge(&o.audio_lat);
-        audio_jit.merge(&o.audio_jit);
-        report.vod_presented += o.vod_presented;
-        report.playback_late += o.playback_late;
-        vod_lat.merge(&o.vod_lat);
-        vod_jit.merge(&o.vod_jit);
-        cells.sent += o.cells.sent;
-        cells.dropped_overflow += o.cells.dropped_overflow;
-        cells.dropped_unroutable += o.cells.dropped_unroutable;
-        cells.dropped_outage += o.cells.dropped_outage;
-        cells.admitted_dropped_overflow += o.cells.admitted_dropped_overflow;
-        cells.admitted_dropped_outage += o.cells.admitted_dropped_outage;
-        report.peak_queue_cells = report.peak_queue_cells.max(o.peak_queue_cells);
-        report.vcs_rerouted += o.vcs_rerouted;
-        report.vcs_stranded += o.vcs_stranded;
-        bp_rep.credit_stalls.0 += o.bp.credit_stalls.0;
-        bp_rep.credit_stalls.1 += o.bp.credit_stalls.1;
-        bp_rep.credit_stalls.2 += o.bp.credit_stalls.2;
-        bp_rep.frames_skipped += o.bp.frames_skipped;
-        bp_rep.credits_reclaimed += o.bp.credits_reclaimed;
-        bp_rep.renegotiations_down += o.bp.renegotiations_down;
-        bp_rep.renegotiations_up += o.bp.renegotiations_up;
-        bp_rep.queue_bound_cells += o.bp.queue_bound_cells;
+    outcomes.sort_by_key(|o| o.report.shards[0].shard);
+    let mut outcomes = outcomes.into_iter();
+    let ShardOutcome {
+        report: mut r,
+        mut hists,
+    } = outcomes.next().expect("the coordinator's outcome");
+    for o in outcomes {
+        let s = o.report;
+        r.events_executed += s.events_executed;
+        r.tiles_blitted += s.tiles_blitted;
+        r.audio_underruns += s.audio_underruns;
+        r.vod_presented += s.vod_presented;
+        r.playback_late += s.playback_late;
+        r.peak_queue_cells = r.peak_queue_cells.max(s.peak_queue_cells);
+        r.vcs_rerouted += s.vcs_rerouted;
+        r.vcs_stranded += s.vcs_stranded;
+        let (c, sc) = (&mut r.cells, &s.cells);
+        c.sent += sc.sent;
+        c.dropped_overflow += sc.dropped_overflow;
+        c.dropped_unroutable += sc.dropped_unroutable;
+        c.dropped_outage += sc.dropped_outage;
+        c.admitted_dropped_overflow += sc.admitted_dropped_overflow;
+        c.admitted_dropped_outage += sc.admitted_dropped_outage;
+        let (b, sb) = (&mut r.backpressure, &s.backpressure);
+        b.credit_stalls.0 += sb.credit_stalls.0;
+        b.credit_stalls.1 += sb.credit_stalls.1;
+        b.credit_stalls.2 += sb.credit_stalls.2;
+        b.frames_skipped += sb.frames_skipped;
+        b.credits_reclaimed += sb.credits_reclaimed;
+        b.renegotiations_down += sb.renegotiations_down;
+        b.renegotiations_up += sb.renegotiations_up;
+        b.queue_bound_cells += sb.queue_bound_cells;
+        r.shards.extend(s.shards);
+        for (h, sh) in hists.iter_mut().zip(&o.hists) {
+            h.0.merge(&sh.0);
+            h.1.merge(&sh.1);
+        }
     }
-    report.video = ClassReport {
-        sessions: (counts.0 + counts.2) as u64,
-        latency: video_lat.summarize(),
-        jitter: video_jit.summarize(),
+    let counts = spec.mix.counts(spec.sessions);
+    let [video, audio, vod] = &mut hists;
+    let class = |sessions: usize, (lat, jit): &mut (Histogram, Histogram)| ClassReport {
+        sessions: sessions as u64,
+        latency: lat.summarize(),
+        jitter: jit.summarize(),
     };
-    report.audio = ClassReport {
-        sessions: counts.0 as u64,
-        latency: audio_lat.summarize(),
-        jitter: audio_jit.summarize(),
-    };
-    report.vod = ClassReport {
-        sessions: counts.1 as u64,
-        latency: vod_lat.summarize(),
-        jitter: vod_jit.summarize(),
-    };
-    cells.delivered = cells
+    r.video = class(counts.0 + counts.2, video);
+    r.audio = class(counts.0, audio);
+    r.vod = class(counts.1, vod);
+    r.schema_version = SCHEMA_VERSION;
+    r.name = spec.name.clone();
+    r.seed = spec.seed;
+    r.duration = spec.duration;
+    r.sessions = (counts.0 as u64, counts.1 as u64, counts.2 as u64);
+    let c = &mut r.cells;
+    c.delivered = c
         .sent
-        .saturating_sub(cells.dropped_overflow + cells.dropped_unroutable + cells.dropped_outage);
-    report.cells = cells;
-    report.backpressure = bp_rep;
-    report.deadline_misses = report.total_misses();
-    report.shards = outcomes
-        .iter()
-        .map(|o| ShardSlice {
-            shard: o.shard as u64,
-            events: o.events_executed,
-            barrier_waits: o.runtime.barrier_waits,
-            cells_exported: o.runtime.cells_exported,
-            cells_imported: o.runtime.cells_imported,
-            lookahead_ns: o.runtime.lookahead_ns,
-            cut_trunks: o.runtime.cut_trunks,
-            credits_crossed: o.runtime.credits_crossed,
-            repairs_replicated: o.runtime.repairs_replicated,
-        })
-        .collect();
-    report
+        .saturating_sub(c.dropped_overflow + c.dropped_unroutable + c.dropped_outage);
+    r.deadline_misses = r.total_misses();
+    r
 }
 
 /// Where a dropped cell's credit goes when the fabric is settled.
@@ -1866,88 +1498,6 @@ enum Target {
     /// whose producer is wedged by design (its credits leak with the
     /// corpse). Attribution still applies.
     Skip,
-}
-
-/// Settles the fabric's per-VCI drop counters against the session
-/// books: every dropped cell on a credited circuit has its credit
-/// reclaimed (the consumer will never see the cell, so it can never
-/// return it), and drops on an *admitted* session's circuits are
-/// attributed by cause. Returns `(admitted overflow, admitted outage)`
-/// for the cells report; reclaims against windows living on other
-/// shards land in `remote` as `(delivery VCI, n)` records. VCIs are
-/// allocated from one network-wide counter, so any hop's label
-/// identifies exactly one circuit — on every shard.
-fn reconcile_drops(
-    sys: &System,
-    books: &[SessionBook],
-    blasts: &[(VcHandle, Option<CreditRef>, bool)],
-    bp_enabled: bool,
-    remote: &mut Vec<(Vci, u64)>,
-) -> (u64, u64) {
-    let mut table: Vec<(Vci, Target, bool)> = Vec::new();
-    for b in books {
-        for (i, vc) in b.grant.vcs.iter().enumerate() {
-            // Media flow 0 carries the credit window.
-            let target = if i == 0 && !b.stranded[i] {
-                match &b.credit {
-                    Some(w) => Target::Local(w.clone()),
-                    None if bp_enabled => Target::Remote(vc.dst_vci),
-                    None => Target::Skip,
-                }
-            } else {
-                Target::Skip
-            };
-            for vci in vc.vcis() {
-                table.push((vci, target.clone(), true));
-            }
-        }
-    }
-    for (vc, w, stranded) in blasts {
-        // Blasts are always credited, whatever the backpressure spec.
-        let target = if *stranded {
-            Target::Skip
-        } else {
-            match w {
-                Some(w) => Target::Local(w.clone()),
-                None => Target::Remote(vc.dst_vci),
-            }
-        };
-        for vci in vc.vcis() {
-            table.push((vci, target.clone(), false));
-        }
-    }
-    table.sort_by_key(|e| e.0);
-    let mut acc = (0u64, 0u64);
-    let mut settle = |drops: Vec<(Vci, u64)>, overflow: bool, acc: &mut (u64, u64)| {
-        for (vci, n) in drops {
-            if let Ok(idx) = table.binary_search_by_key(&vci, |e| e.0) {
-                let (_, target, admitted) = &table[idx];
-                match target {
-                    Target::Local(w) => w.borrow_mut().reclaim(n),
-                    Target::Remote(dst_vci) => remote.push((*dst_vci, n)),
-                    Target::Skip => {}
-                }
-                if *admitted {
-                    if overflow {
-                        acc.0 += n;
-                    } else {
-                        acc.1 += n;
-                    }
-                }
-            }
-        }
-    };
-    for i in 0..sys.net.switch_count() {
-        let sw = sys.net.switch(pegasus_atm::network::SwitchId(i));
-        let mut sw = sw.borrow_mut();
-        settle(sw.take_dropped_by_vci(), true, &mut acc);
-        let mut outage: Vec<(Vci, u64)> = Vec::new();
-        for link in sw.output_links_mut() {
-            outage.extend(link.take_dropped_by_vci());
-        }
-        settle(outage, false, &mut acc);
-    }
-    acc
 }
 
 /// Compiles and runs `spec` in one call.

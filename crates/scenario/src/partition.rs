@@ -51,15 +51,9 @@ impl ExecPlan {
     pub fn partition(spec: &ScenarioSpec, requested: usize) -> ExecPlan {
         let n = spec.topology.switches.max(1);
         let requested = requested.max(1);
-        let mut shards = requested;
-        let mut clamp_reason = None;
-        let mut clamp = |k: &mut usize, to: usize, why: &'static str| {
-            if to < *k {
-                *k = to;
-                clamp_reason = Some(why);
-            }
-        };
-        clamp(&mut shards, n, "more shards than fabric switches");
+        // Geometric clamp: every shard owns at least one switch.
+        let shards = requested.min(n);
+        let clamp_reason = (shards < requested).then_some("more shards than fabric switches");
         // Contiguous balanced ranges: switch s goes to shard s·k/n.
         let owner = (0..n).map(|s| s * shards / n).collect();
         ExecPlan {
@@ -68,11 +62,6 @@ impl ExecPlan {
             requested,
             clamp_reason,
         }
-    }
-
-    /// The single-shard plan every classic entry point uses.
-    pub fn single(spec: &ScenarioSpec) -> ExecPlan {
-        ExecPlan::partition(spec, 1)
     }
 
     /// The view shard `shard` compiles and runs with.

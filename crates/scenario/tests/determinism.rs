@@ -2,7 +2,7 @@
 //! `(spec, seed)` — running twice yields byte-identical JSON, and a
 //! different seed yields a different (but equally reproducible) run.
 
-use pegasus_scenario::{presets, run, run_seeds};
+use pegasus_scenario::{compile, presets, run, run_seeds};
 use pegasus_sim::time::MS;
 
 #[test]
@@ -134,4 +134,34 @@ fn scaled_metropolis_reports_the_right_shape() {
     assert_eq!(r.sessions.0 + r.sessions.1 + r.sessions.2, 50);
     assert_eq!(r.deadline_misses, 0);
     assert!(r.video.jitter.n > 0, "per-class jitter percentiles present");
+}
+
+#[test]
+fn hand_advanced_engine_then_run_matches_plain_run() {
+    // A tracer times the event loop by advancing the compiled engine in
+    // `run_until` slices and only then calling `Scenario::run`. For a
+    // spec without control marks that must report byte-identically to a
+    // plain run — whether the clock stops part-way or has already passed
+    // the driver's first (and only) boundary, the end time.
+    for spec in [
+        presets::smoke(),
+        presets::videophone_wall().scale_sessions(0.25),
+    ] {
+        let want = run(&spec).to_json_canonical();
+        let end = compile(&spec).end_time();
+        for stop in [end / 2, end] {
+            let mut sc = compile(&spec);
+            let mut at = 0;
+            while at < stop {
+                at = (at + 10 * MS).min(stop);
+                sc.sim.run_until(at);
+            }
+            assert_eq!(
+                sc.run().to_json_canonical(),
+                want,
+                "{} advanced to {stop} ns",
+                spec.name
+            );
+        }
+    }
 }
