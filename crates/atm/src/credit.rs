@@ -70,7 +70,7 @@ pub struct CreditReturn {
 
 /// Shared buffer a [`CreditSink`] export registration appends
 /// [`CreditReturn`] records to; the executor drains it at each epoch
-/// boundary into the per-pair mailboxes.
+/// boundary into its post to the producer's shard.
 pub type CreditExportBuf = Rc<RefCell<Vec<CreditReturn>>>;
 
 /// One virtual circuit's credit state.
@@ -314,7 +314,7 @@ impl CellSink for CreditSink {
     /// with the batch's event time (not per-cell arrival times): a
     /// train can span an epoch boundary, and the train-end event time
     /// is the one timestamp both the single-shard and sharded runs
-    /// agree on before the next barrier.
+    /// agree on before the next epoch boundary.
     fn deliver_batch(&mut self, sim: &mut Simulator, cells: &mut Vec<(Ns, Cell)>) {
         let now = sim.now();
         for (vci, path) in &self.windows {

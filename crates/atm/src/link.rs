@@ -34,7 +34,7 @@ use crate::cell::{Cell, Vci, CELL_SIZE};
 /// The boundary buffer of a link whose receiver lives in another region
 /// shard: `(arrival time, cell)` pairs accumulated during an epoch, in
 /// send order, drained and sealed by the sharded executor at the next
-/// barrier instead of being scheduled locally.
+/// epoch boundary instead of being scheduled locally.
 pub type ExportBuffer = Rc<RefCell<Vec<(Ns, Cell)>>>;
 
 /// Anything that can receive cells: switch ports, displays, audio sinks,
@@ -139,7 +139,7 @@ pub struct Link {
     /// When set, this link's transmit side sits on a shard boundary:
     /// accepted cells are accounted here (serialization, outage drops,
     /// counters) but diverted to the export buffer instead of being
-    /// scheduled — the receiving shard injects them after the barrier.
+    /// scheduled — the receiving shard injects them at the boundary.
     export: Option<ExportBuffer>,
 }
 
@@ -227,7 +227,7 @@ impl Link {
 
     /// Marks this link's transmit side as a shard boundary: accepted
     /// cells are pushed to `buf` instead of being scheduled for local
-    /// delivery. The executor drains `buf` at each epoch barrier.
+    /// delivery. The executor drains `buf` at each epoch boundary.
     pub fn set_export(&mut self, buf: ExportBuffer) {
         self.export = Some(buf);
     }
@@ -310,7 +310,7 @@ impl Link {
         if let Some(export) = &self.export {
             // Shard boundary: the receiving end lives in another region.
             // All transmit-side accounting above is done; the cell waits
-            // in the export buffer for the next barrier exchange.
+            // in the export buffer for the next boundary exchange.
             export.borrow_mut().push((arrival, cell));
             return arrival;
         }
@@ -341,14 +341,15 @@ impl Link {
 
     /// Injects a cell sealed by the transmitting shard: queues it for
     /// delivery exactly as if [`Link::send`] had accepted it locally at
-    /// the same instant. Called by the sharded executor right after an
-    /// epoch barrier, on the receiving shard's replica of the link.
+    /// the same instant. Called by the sharded executor when it receives
+    /// a peer's post at an epoch boundary, on the receiving shard's
+    /// replica of the link.
     ///
     /// # Panics
     ///
     /// Panics when `arrival` precedes the receiving shard's current
     /// epoch — conservative lookahead guarantees every boundary cell
-    /// arrives at or after the barrier it crosses, so an early cell
+    /// arrives at or after the boundary it crosses, so an early cell
     /// means the epoch length exceeded the link's latency bound.
     pub fn inject(&mut self, sim: &mut Simulator, arrival: Ns, cell: Cell) {
         assert!(
@@ -619,7 +620,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "inter-shard cell timestamped before the receiving epoch")]
     fn inject_rejects_cells_from_before_the_current_epoch() {
-        // The barrier-protocol invariant: conservative lookahead means a
+        // The epoch-protocol invariant: conservative lookahead means a
         // shard can never receive a cell timestamped before the epoch
         // boundary its clock is parked on. An early cell is a protocol
         // violation and must die loudly, not silently reorder history.

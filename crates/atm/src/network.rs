@@ -173,6 +173,20 @@ impl Default for Network {
     }
 }
 
+impl Drop for Network {
+    /// Detaches every switch's output links. A trunk feeds its receiving
+    /// switch's input port, which holds that switch, so trunk-joined
+    /// neighbours own each other; without this they, and everything
+    /// reachable from them, would outlive the network.
+    fn drop(&mut self) {
+        for sw in &self.switches {
+            if let Ok(mut sw) = sw.try_borrow_mut() {
+                sw.detach_outputs();
+            }
+        }
+    }
+}
+
 impl Network {
     /// Creates an empty network.
     pub fn new() -> Self {
@@ -1114,6 +1128,23 @@ mod tests {
                 assert_eq!(sink.borrow().arrivals.len(), expected, "{shape:?} n={n}");
             }
         }
+    }
+
+    /// Each trunk's input port holds its receiving switch, so
+    /// neighbours own each other; dropping the network must still free
+    /// every switch and every endpoint's sink.
+    #[test]
+    fn dropping_the_network_frees_its_switches() {
+        let mut net = Network::new();
+        let cfg = LinkConfig::pegasus_default();
+        let fabric = net.build_topology(TopologyShape::Ring, 4, "fab", 4, 100, cfg);
+        let sink = CaptureSink::shared();
+        let weak_sink = Rc::downgrade(&sink);
+        net.add_endpoint_auto(fabric[2], cfg, sink);
+        let switch = Rc::downgrade(net.switch(fabric[0]));
+        drop(net);
+        assert!(switch.upgrade().is_none(), "a trunk-joined switch leaked");
+        assert!(weak_sink.upgrade().is_none(), "an endpoint's sink leaked");
     }
 
     #[test]

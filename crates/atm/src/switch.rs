@@ -106,6 +106,13 @@ impl Switch {
         self.outputs[port] = Some(link);
     }
 
+    /// Unwires every output port, dropping its link and the sink the
+    /// link feeds — how a dropped [`crate::network::Network`] breaks the
+    /// reference cycles its trunks form.
+    pub(crate) fn detach_outputs(&mut self) {
+        self.outputs.iter_mut().for_each(|o| *o = None);
+    }
+
     /// Grows the switch to at least `ports` ports (new ports start
     /// unwired). Programmatic topology builders size switches to the
     /// scenario rather than a fixed port count.

@@ -47,7 +47,7 @@ pub struct CongestionSignal {
 ///
 /// [`EpochSignal::merge`] is associative and commutative (sum of
 /// stalls, max of peaks, OR of slot pressure), so every shard can fold
-/// the per-shard samples in shard order at the epoch barrier and all
+/// the per-shard samples in shard order at each control exchange and all
 /// replicas of the [`CongestionController`] observe an identical
 /// signal — which is what keeps renegotiation verdicts deterministic
 /// at any `--shards`.

@@ -57,7 +57,7 @@ use pegasus_streams::playback::{ArrivalSink, PlaybackControl, PlaybackPolicy, St
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use crate::executor::{drive, Solo};
+use crate::executor::drive;
 use crate::partition::ShardPlan;
 use crate::report::{
     BrokerReport, CacheReport, ClassReport, NemesisReport, PfsReport, ScenarioReport, ShardSlice,
@@ -257,8 +257,8 @@ pub struct Scenario {
     blasts: Vec<(VcHandle, Option<CreditRef>, bool)>,
     /// Outbound credit-return records, one buffer per *producer* shard:
     /// a consumer-side [`CreditSink`] in export mode appends here, and
-    /// the threaded transport seals the records into that shard's
-    /// mailbox at the next epoch boundary. Empty buffers (and the one
+    /// the executor seals the records into its post to that shard at
+    /// the next epoch boundary. Empty buffers (and the one
     /// unused buffer on the classic path) cost nothing.
     pub(crate) credit_out: Vec<CreditExportBuf>,
     /// Registry of credit windows whose producer this shard owns,
@@ -396,13 +396,9 @@ pub fn compile_for(spec: &ScenarioSpec, plan: ShardPlan) -> Scenario {
         credit_windows: Vec::new(),
     };
     let credited = spec.backpressure.enabled;
-    let make_display = || {
-        if spec.headless_displays {
-            Display::shared_headless(176, 144)
-        } else {
-            Display::shared(176, 144)
-        }
-    };
+    // Nothing reads a scenario display's pixels, and a headless display
+    // keeps identical statistics without a framebuffer.
+    let make_display = || Display::shared_headless(176, 144);
 
     let mut poisson_clock: Ns = 0;
     let mut timing = |rng: &mut SmallRng| {
@@ -915,7 +911,7 @@ impl Scenario {
 
     /// When the engine stops: the run length plus a drain long enough
     /// for held playback items to present. Every shard computes the
-    /// same deadline, so the epoch loops agree on the final barrier.
+    /// same deadline, so the epoch loops agree on the final boundary.
     pub fn end_time(&self) -> Ns {
         self.spec.duration + self.spec.drain.max(self.spec.vod_target_latency + 20 * MS)
     }
@@ -928,7 +924,7 @@ impl Scenario {
     /// outage)` for the cells report. Reclaims against windows this
     /// shard owns happen in place; drops on circuits whose window lives
     /// on another shard are appended to `remote` as `(delivery VCI, n)`
-    /// reclaim records for the transport to broadcast (a lone shard owns
+    /// reclaim records for the executor to broadcast (a lone shard owns
     /// every window and never produces any). VCIs are allocated from one
     /// network-wide counter, so any hop's label identifies exactly one
     /// circuit — on every shard.
@@ -1101,8 +1097,8 @@ impl Scenario {
     }
 
     /// Runs the compiled scenario to completion and reports — the
-    /// classic single-threaded path: the epoch driver over the one-shard
-    /// transport. The driver resumes from wherever the engine's clock
+    /// classic single-threaded path: the epoch driver with no peers. The
+    /// driver resumes from wherever the engine's clock
     /// stands, so for a spec without control marks an engine advanced
     /// by hand with `sim.run_until` reports exactly as a fresh one.
     pub fn run(self) -> ScenarioReport {
@@ -1111,13 +1107,13 @@ impl Scenario {
             "multi-shard scenarios run under run_sharded"
         );
         let spec = self.spec.clone();
-        assemble(&spec, vec![drive(self, &mut Solo)])
+        assemble(&spec, vec![drive(self, Vec::new(), &Default::default())])
     }
 
     /// Folds this shard's owned devices and switches into a portable
     /// [`ShardOutcome`]. Consumes the scenario: the `Rc`-laden world
     /// stays on its thread, only plain measurements cross. `slice` is
-    /// the transport's runtime counters for the `shards` block.
+    /// the executor's runtime counters for the `shards` block.
     pub(crate) fn collect(
         mut self,
         vcs_rerouted: u64,

@@ -1,22 +1,18 @@
-//! The epoch driver and its two transports.
+//! The epoch driver and the channels shards exchange over.
 //!
 //! Every run — one thread or many — goes through one driver (`drive`):
-//! it runs a compiled shard in epochs, pausing at each boundary its
-//! transport asks for and at every *control mark* (switch deaths and
-//! congestion-epoch boundaries), and ends with `Scenario::collect`. What
-//! differs between a lone shard and a threaded one is only how the
-//! shard talks to its peers — the transport:
-//!
-//! * `Solo`, the one-shard transport behind [`Scenario::run`], has no
-//!   peers: no lookahead bound (it stops only at marks and at the end),
-//!   nothing to publish, no barrier, and its merged congestion signal
-//!   is its own sample.
-//! * `Threaded`, one worker of [`run_sharded`], holds the mailboxes,
-//!   control slots and barrier its peers share. [`run_sharded`]
-//!   partitions the fabric into region shards
-//!   ([`crate::partition::ExecPlan`]) and compiles a full replica of the
-//!   world per worker thread ([`crate::build::compile_for`]). The
-//!   epochs are conservative lookahead steps:
+//! it runs a compiled shard in epochs, pausing at each lookahead
+//! boundary and at every *control mark* (switch deaths and
+//! congestion-epoch boundaries), and ends with `Scenario::collect`.
+//! Shards talk only over point-to-point channels, one
+//! `std::sync::mpsc` channel per ordered shard pair, the way Pegasus
+//! devices talk only over circuits. [`Scenario::run`] is the zero-peer
+//! case: no cut trunks means no lookahead bound (it stops only at marks
+//! and at the end), nothing is sent, and its merged congestion signal
+//! is its own sample. [`run_sharded`] partitions the fabric into region
+//! shards ([`crate::partition::ExecPlan`]) and compiles a full replica
+//! of the world per worker thread ([`crate::build::compile_for`]). The
+//! epochs are conservative lookahead steps:
 //!
 //! 1. Every shard runs its engine up to (but not into) the epoch
 //!    boundary `t + L`, where the lookahead `L` is the minimum over cut
@@ -28,27 +24,31 @@
 //! 2. Cells that crossed a cut during the epoch were captured by the
 //!    transmit link's export buffer ([`pegasus_atm::link::Link`]
 //!    `set_export`) with their exact arrival times. Each shard seals
-//!    them to wire bytes and posts them to per-pair mailboxes. Credit
-//!    returns for cut-crossing circuits ride the same mailboxes as
+//!    them to wire bytes and sends every peer one post, possibly empty.
+//!    Credit returns for cut-crossing circuits ride the same posts as
 //!    sealed [`CreditReturn`] records: their application time is the
 //!    delivery event time plus the circuit's return delay, which is
 //!    never below the trunk lookahead, so a record sealed in epoch
 //!    `[t, b)` always applies at or after `b` — the conservative bound
 //!    covers the control plane for free.
-//! 3. A barrier; then every shard drains its inbox in sender order,
-//!    injecting each sealed cell into its own replica of the
+//! 3. Every shard then receives one post from each peer, in shard
+//!    order, injecting each sealed cell into its own replica of the
 //!    transmitting link (delivery lands on the trunk's own scheduling
 //!    lane, reproducing the exact per-lane event order the single-shard
 //!    run would have used) and parking each credit record on its
-//!    window. A second barrier closes the epoch.
+//!    window.
+//!
+//! Receiving is the synchronization: a shard cannot leave a round
+//! before every peer has sent into it, and FIFO channels keep a fast
+//! peer's next post behind the current one, so no barrier is needed.
 //!
 //! At a mark, death repair replays identically on every shard's full
 //! `Network` replica; a congestion epoch samples a per-shard
-//! [`EpochSignal`], and the threaded transport exchanges the samples
-//! (and any cross-shard drop reclaims) through per-shard control slots
-//! between two barriers, so every replica's controller sees the
-//! identical merged signal — renegotiation verdicts, broker ledgers and
-//! grants stay byte-identical at any shard count.
+//! [`EpochSignal`], and the shards exchange the samples (and any
+//! cross-shard drop reclaims) in one more round, so every replica's
+//! controller sees the identical merged signal — renegotiation
+//! verdicts, broker ledgers and grants stay byte-identical at any shard
+//! count.
 //!
 //! Determinism: ownership, lane assignment, the lookahead and the mark
 //! timeline are pure functions of the spec, arrival times come from the
@@ -57,14 +57,16 @@
 //! canonical report is therefore byte-identical at any `--shards`; CI
 //! diffs it.
 //!
-//! A shard that panics aborts the barrier, so its peers stop at their
-//! next wait instead of waiting forever; [`run_sharded`] then panics
-//! naming the shard, its epoch and the simulated time.
+//! A shard that panics drops its senders, so a peer waiting on it sees
+//! its receive fail and stops too; [`run_sharded`] then panics naming
+//! the shard, its epoch and the simulated time.
 
 use std::cell::{Cell as StdCell, RefCell};
+use std::mem;
 use std::panic::{self, AssertUnwindSafe};
 use std::rc::Rc;
-use std::sync::{Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::OnceLock;
 use std::thread;
 
 use pegasus::congestion::{CongestionController, EpochSignal};
@@ -120,38 +122,19 @@ fn control_marks(spec: &ScenarioSpec) -> Vec<(Ns, ControlMark)> {
     marks.into_iter().map(|(t, _, m)| (t, m)).collect()
 }
 
-/// How one shard's epoch loop talks to its peers.
-pub(crate) trait Transport {
-    /// The longest epoch the transport allows.
-    fn lookahead(&self) -> Ns;
-    /// Closes the epoch ending at `boundary` (the engine is parked on
-    /// it): publishes this shard's cut crossings and credit returns and
-    /// accepts its peers'.
-    fn exchange(&mut self, sc: &mut Scenario, boundary: Ns);
-    /// Publishes this shard's congestion sample and the drop reclaims
-    /// it owes other shards' windows (draining `reclaims`), applies the
-    /// peers' reclaims, and returns the merged signal.
-    fn control(
-        &mut self,
-        sc: &Scenario,
-        sig: EpochSignal,
-        reclaims: &mut Vec<(Vci, u64)>,
-    ) -> EpochSignal;
-    /// This shard's runtime counters for the report's `shards` block,
-    /// given the circuits replicated switch-death repair walked.
-    fn slice(&mut self, repairs_replicated: u64) -> ShardSlice;
-}
-
-/// Runs a compiled shard to its end time over `tr` and collects it.
+/// Runs a compiled shard to its end time, exchanging with the peers at
+/// the far ends of `links` (none for a lone shard), and collects it.
+/// `progress` tracks the epochs closed, for a panic report.
 ///
 /// Each epoch runs the engine strictly before the next boundary — the
-/// transport's lookahead step, the next control mark or the end,
-/// whichever is first — parks the clock on it, and lets the transport
-/// exchange. Events parked exactly on a mark (injected arrivals
-/// included) then run before the mark acts, so a mark sees the same
-/// state as an inclusive `run_until`. An engine already advanced past
-/// a boundary simply finds nothing left to run before it.
-pub(crate) fn drive(mut sc: Scenario, tr: &mut impl Transport) -> ShardOutcome {
+/// lookahead step, the next control mark or the end, whichever is
+/// first — parks the clock on it, and exchanges. Events parked exactly
+/// on a mark (injected arrivals included) then run before the mark
+/// acts, so a mark sees the same state as an inclusive `run_until`. An
+/// engine already advanced past a boundary simply finds nothing left to
+/// run before it.
+pub(crate) fn drive(mut sc: Scenario, links: Vec<Link>, progress: &Progress) -> ShardOutcome {
+    let mut peers = Peers::new(&sc, links);
     let mut marks = control_marks(sc.spec()).into_iter().peekable();
     let end = sc.end_time();
     let coordinator = sc.plan().materialize_pfs;
@@ -173,11 +156,12 @@ pub(crate) fn drive(mut sc: Scenario, tr: &mut impl Transport) -> ShardOutcome {
     let mut t: Ns = 0;
     while t < end {
         let next_mark = marks.peek().map_or(Ns::MAX, |&(at, _)| at);
-        let next = t.saturating_add(tr.lookahead()).min(end).min(next_mark);
+        let next = t.saturating_add(peers.lookahead).min(end).min(next_mark);
         // Strictly before the boundary, then park the clock exactly on
         // it, so cells injected by the exchange can never precede it.
         sc.sim.run_before(next);
-        tr.exchange(&mut sc, next);
+        peers.exchange(&mut sc, next);
+        progress.set((progress.get().0 + 1, next));
         while let Some((_, mark)) = marks.next_if(|&(at, _)| at == next) {
             sc.sim.run_until(next);
             match mark {
@@ -200,7 +184,7 @@ pub(crate) fn drive(mut sc: Scenario, tr: &mut impl Transport) -> ShardOutcome {
                     // merged signal.
                     let sig = sc.sample_epoch_signal();
                     settle(&sc, &mut reclaims);
-                    let merged = tr.control(&sc, sig, &mut reclaims);
+                    let merged = peers.control(&sc, sig, &mut reclaims);
                     let verdict = controller.observe(&merged.into_signal());
                     sc.apply_verdict(verdict, next);
                 }
@@ -215,35 +199,9 @@ pub(crate) fn drive(mut sc: Scenario, tr: &mut impl Transport) -> ShardOutcome {
     // the whole run) so attribution covers every dropped cell; the
     // reclaims cross once more, since the ledger feeds the report.
     settle(&sc, &mut reclaims);
-    tr.control(&sc, EpochSignal::default(), &mut reclaims);
-    let slice = tr.slice(repairs);
+    peers.control(&sc, EpochSignal::default(), &mut reclaims);
+    let slice = peers.slice(repairs);
     sc.collect(vcs_rerouted, vcs_stranded, admitted_dropped, slice)
-}
-
-/// The one-shard transport: no peers, so no lookahead bound, nothing to
-/// publish, no barrier, and the merged signal is the shard's own.
-pub(crate) struct Solo;
-
-impl Transport for Solo {
-    fn lookahead(&self) -> Ns {
-        Ns::MAX
-    }
-
-    fn exchange(&mut self, _: &mut Scenario, _: Ns) {}
-
-    fn control(
-        &mut self,
-        _: &Scenario,
-        sig: EpochSignal,
-        reclaims: &mut Vec<(Vci, u64)>,
-    ) -> EpochSignal {
-        debug_assert!(reclaims.is_empty(), "one shard owns every window");
-        sig
-    }
-
-    fn slice(&mut self, _: u64) -> ShardSlice {
-        ShardSlice::default()
-    }
 }
 
 /// Runs `spec` across up to `requested` region shards and reports.
@@ -263,18 +221,8 @@ pub fn run_sharded(spec: &ScenarioSpec, requested: usize) -> ScenarioReport {
     if plan.shards == 1 {
         return run(spec);
     }
-    let k = plan.shards;
-    let ex = Exchange {
-        mailboxes: (0..k)
-            .map(|_| (0..k).map(|_| Mutex::new(Vec::new())).collect())
-            .collect(),
-        control: (0..k).map(|_| Mutex::new(ControlSlot::default())).collect(),
-        barrier: AbortBarrier::new(k),
-    };
-    let outcomes = on_threads(k, &ex.barrier, |me, progress| {
-        let mut sc = compile_for(spec, plan.shard_plan(me));
-        let mut tr = Threaded::new(&mut sc, &ex, progress);
-        drive(sc, &mut tr)
+    let outcomes = on_threads(mesh(plan.shards), |me, links, progress| {
+        drive(compile_for(spec, plan.shard_plan(me)), links, progress)
     });
     assemble(spec, outcomes.unwrap_or_else(|failure| panic!("{failure}")))
 }
@@ -294,50 +242,81 @@ enum SealedMsg {
     Credit(CreditReturn),
 }
 
-/// One shard's contribution to a control exchange: its slice of the
-/// epoch signal and any reclaim records for drops it observed on
-/// circuits whose windows live elsewhere. Written by the owner before
-/// the exchange barrier, read by everyone after it.
+/// What one shard sends one peer in an exchange round: at an epoch
+/// boundary, the sealed records addressed to that peer; at a control
+/// mark, the sender's congestion sample and the drop reclaims it owes
+/// other shards' windows (broadcast: only the window's owner applies
+/// them).
 #[derive(Default)]
-struct ControlSlot {
+pub(crate) struct Post {
+    sealed: Vec<SealedMsg>,
     signal: EpochSignal,
     reclaims: Vec<(Vci, u64)>,
 }
 
-/// What the workers of one threaded run share.
-struct Exchange {
-    /// `mailboxes[from][to]` carries sealed records from shard `from`
-    /// to shard `to` across one epoch boundary.
-    mailboxes: Vec<Vec<Mutex<Vec<SealedMsg>>>>,
-    control: Vec<Mutex<ControlSlot>>,
-    barrier: AbortBarrier,
-}
+/// One shard's end of its channels to one peer: `(peer, to it, from
+/// it)`.
+pub(crate) type Link = (usize, Sender<Post>, Receiver<Post>);
 
 /// How far a worker has got: epochs closed, and the simulated time of
 /// the last boundary. Kept outside the worker so a panic can report it.
-type Progress = StdCell<(u64, Ns)>;
+pub(crate) type Progress = StdCell<(u64, Ns)>;
 
-/// The threaded transport: one worker's end of an [`Exchange`].
-struct Threaded<'a> {
-    me: usize,
-    ex: &'a Exchange,
-    progress: &'a Progress,
+/// The links of `k` fully connected shards: entry `i` holds shard `i`'s
+/// channel ends to every peer, in shard order.
+fn mesh(k: usize) -> Vec<Vec<Link>> {
+    let mut links: Vec<Vec<Link>> = (0..k).map(|_| Vec::new()).collect();
+    for a in 0..k {
+        for b in a + 1..k {
+            let (to_b, from_a) = mpsc::channel();
+            let (to_a, from_b) = mpsc::channel();
+            links[a].push((b, to_b, from_b));
+            links[b].push((a, to_a, from_a));
+        }
+    }
+    links
+}
+
+/// One exchange round: sends each peer its post from `posts` (indexed
+/// by shard), then replaces it with the post received from that peer,
+/// receiving in shard order. A peer that panicked has dropped its
+/// channel ends: the send to it fails, which is ignored, and the
+/// receive from it fails once its earlier posts are read, which
+/// unwinds this shard with [`Aborted`].
+fn round(links: &[Link], posts: &mut [Post]) {
+    for (peer, tx, _) in links {
+        let _ = tx.send(mem::take(&mut posts[*peer]));
+    }
+    for (peer, _, rx) in links {
+        posts[*peer] = rx
+            .recv()
+            .unwrap_or_else(|_| panic::resume_unwind(Box::new(Aborted)));
+    }
+}
+
+/// One shard's side of the exchange: its links, the outbound cut
+/// trunks and credit buffers it seals from, and its counters.
+struct Peers {
+    links: Vec<Link>,
     trunks: Vec<TrunkDir>,
     /// `(trunk index, export buffer, receiving shard)` per outbound cut
     /// trunk.
     outbound: Vec<(usize, ExportBuffer, usize)>,
     credit_out: Vec<CreditExportBuf>,
-    /// Reusable drain buffer: swap a mailbox's contents out under the
-    /// lock, process outside it. `clear` + `append` retains both
-    /// vectors' capacities, so the steady-state loop allocates nothing.
-    drain_buf: Vec<SealedMsg>,
+    /// One post per shard, this shard's own unused: filled before a
+    /// round, holding the peers' posts after it. Received vectors are
+    /// drained in place and sent again next round, so record buffers
+    /// circulate instead of being reallocated every epoch.
+    posts: Vec<Post>,
+    /// The longest epoch allowed: unbounded without cut trunks.
+    lookahead: Ns,
     slice: ShardSlice,
 }
 
-impl<'a> Threaded<'a> {
-    fn new(sc: &mut Scenario, ex: &'a Exchange, progress: &'a Progress) -> Threaded<'a> {
-        let me = sc.plan().shard;
-        let owner = sc.plan().owner.clone();
+impl Peers {
+    fn new(sc: &Scenario, links: Vec<Link>) -> Peers {
+        let plan = sc.plan();
+        let owner = |s| plan.owner_of(s);
         let trunks: Vec<TrunkDir> = sc.sys.net.trunks().to_vec();
         // Redirect the transmit side of every outbound cut trunk into an
         // export buffer: cells this shard sends to a peer's switch are
@@ -345,12 +324,12 @@ impl<'a> Threaded<'a> {
         // Pre-sized so the steady-state epoch loop never grows them.
         let mut outbound = Vec::new();
         for (ti, t) in trunks.iter().enumerate() {
-            if owner[t.from] == me && owner[t.to] != me {
+            if owner(t.from) == plan.shard && owner(t.to) != plan.shard {
                 let buf: ExportBuffer = Rc::new(RefCell::new(Vec::with_capacity(256)));
                 sc.sys
                     .net
                     .with_switch_output(t.from, t.port, |l| l.set_export(buf.clone()));
-                outbound.push((ti, buf, owner[t.to]));
+                outbound.push((ti, buf, owner(t.to)));
             }
         }
         // Outbound credit-return records, addressed by producer shard.
@@ -365,51 +344,45 @@ impl<'a> Threaded<'a> {
         // outbound set — shards must agree on the epoch boundaries.
         let lookahead = trunks
             .iter()
-            .filter(|t| owner[t.from] != owner[t.to])
-            .map(|t| (CELL_SIZE as u64 * 8 * SEC / t.rate_bps) + t.prop_delay)
-            .min()
-            .expect("a multi-shard plan over a connected fabric has cut trunks")
-            .max(1);
-        Threaded {
+            .filter(|t| owner(t.from) != owner(t.to))
+            .map(|t| ((CELL_SIZE as u64 * 8 * SEC / t.rate_bps) + t.prop_delay).max(1))
+            .min();
+        assert!(
+            links.is_empty() || lookahead.is_some(),
+            "a multi-shard plan over a connected fabric has cut trunks"
+        );
+        Peers {
             slice: ShardSlice {
-                lookahead_ns: lookahead,
+                lookahead_ns: lookahead.unwrap_or(0),
                 cut_trunks: outbound.len() as u64,
                 ..ShardSlice::default()
             },
-            me,
-            ex,
-            progress,
+            posts: (0..plan.shards).map(|_| Post::default()).collect(),
+            lookahead: lookahead.unwrap_or(Ns::MAX),
+            links,
             trunks,
             outbound,
             credit_out,
-            drain_buf: Vec::new(),
         }
     }
 
-    fn wait(&mut self) {
-        self.ex.barrier.wait();
-        self.slice.barrier_waits += 1;
-    }
-}
-
-impl Transport for Threaded<'_> {
-    fn lookahead(&self) -> Ns {
-        self.slice.lookahead_ns
+    /// One exchange round over `posts`; only a round with a peer counts.
+    fn round(&mut self) {
+        self.slice.barrier_waits += u64::from(!self.links.is_empty());
+        round(&self.links, &mut self.posts);
     }
 
+    /// Closes the epoch ending at `boundary` (the engine is parked on
+    /// it): sends each peer this shard's cut crossings and credit
+    /// returns for it, and accepts theirs.
     fn exchange(&mut self, sc: &mut Scenario, boundary: Ns) {
-        let (me, ex) = (self.me, self.ex);
-        // Publish: seal and post this epoch's cut crossings. Trunk
-        // order, and send order within a trunk, are deterministic.
+        // Seal this epoch's cut crossings. Trunk order, and send order
+        // within a trunk, are deterministic.
         for (ti, buf, dest) in &self.outbound {
-            let mut cells = buf.borrow_mut();
-            if cells.is_empty() {
-                continue;
-            }
-            let mut mb = ex.mailboxes[me][*dest].lock().expect("mailbox lock");
-            for (arrival, cell) in cells.drain(..) {
+            let sealed = &mut self.posts[*dest].sealed;
+            for (arrival, cell) in buf.borrow_mut().drain(..) {
                 self.slice.cells_exported += 1;
-                mb.push(SealedMsg::Cell {
+                sealed.push(SealedMsg::Cell {
                     trunk: *ti as u32,
                     arrival,
                     bytes: cell.to_bytes(),
@@ -417,39 +390,26 @@ impl Transport for Threaded<'_> {
             }
         }
         // Credit returns for windows living on other shards ride the
-        // same mailboxes. Their application times already clear the
+        // same posts. Their application times already clear the
         // boundary: delivery happened strictly before it, and the
         // return delay is never below the trunk lookahead.
         for (dest, buf) in self.credit_out.iter().enumerate() {
-            let mut records = buf.borrow_mut();
-            if records.is_empty() {
-                continue;
-            }
-            debug_assert_ne!(dest, me, "no export path to our own windows");
-            let mut mb = ex.mailboxes[me][dest].lock().expect("mailbox lock");
-            for r in records.drain(..) {
+            for r in buf.borrow_mut().drain(..) {
+                debug_assert_ne!(dest, sc.plan().shard, "no export path to our own windows");
                 debug_assert!(r.apply_at >= boundary, "credit return clears the boundary");
                 self.slice.credits_crossed += 1;
-                mb.push(SealedMsg::Credit(r));
+                self.posts[dest].sealed.push(SealedMsg::Credit(r));
             }
         }
-        self.wait();
+        self.round();
 
-        // Drain: accept peers' records in sender order. Cells are
-        // injected into this shard's replica of the transmitting link —
-        // delivery lands on the trunk's own lane, so per-lane order
-        // matches the single-shard schedule exactly. Credit records are
-        // parked on their windows until their application times.
-        for (sender, from_sender) in ex.mailboxes.iter().enumerate() {
-            if sender == me {
-                continue;
-            }
-            {
-                let mut mb = from_sender[me].lock().expect("mailbox lock");
-                self.drain_buf.clear();
-                self.drain_buf.append(&mut mb);
-            }
-            for msg in self.drain_buf.drain(..) {
+        // Accept peers' records in shard order. Cells are injected into
+        // this shard's replica of the transmitting link — delivery lands
+        // on the trunk's own lane, so per-lane order matches the
+        // single-shard schedule exactly. Credit records are parked on
+        // their windows until their application times.
+        for (peer, _, _) in &self.links {
+            for msg in self.posts[*peer].sealed.drain(..) {
                 match msg {
                     SealedMsg::Cell {
                         trunk,
@@ -472,50 +432,56 @@ impl Transport for Threaded<'_> {
                 }
             }
         }
-        // Close the epoch only once every shard has drained: a fast
-        // peer must not start publishing the next epoch's cells into a
-        // mailbox that is still being read.
-        self.wait();
-        self.progress.set((self.progress.get().0 + 1, boundary));
     }
 
+    /// Sends every peer this shard's congestion sample and the drop
+    /// reclaims it owes other shards' windows (draining `reclaims`),
+    /// applies the peers' reclaims, and returns the merged signal.
     fn control(
         &mut self,
         sc: &Scenario,
         sig: EpochSignal,
         reclaims: &mut Vec<(Vci, u64)>,
     ) -> EpochSignal {
-        {
-            let mut slot = self.ex.control[self.me].lock().expect("control slot lock");
-            slot.signal = sig;
-            slot.reclaims.clear();
-            slot.reclaims.append(reclaims);
+        debug_assert!(
+            !self.links.is_empty() || reclaims.is_empty(),
+            "one shard owns every window"
+        );
+        for (peer, _, _) in &self.links {
+            let post = &mut self.posts[*peer];
+            post.signal = sig;
+            post.reclaims.clone_from(reclaims);
         }
-        self.wait();
-        // Fold every shard's sample (the merge is associative and
-        // commutative, folded in shard order) and apply peers' reclaims
-        // to any window this shard owns.
-        let mut merged = EpochSignal::default();
-        for (i, slot) in self.ex.control.iter().enumerate() {
-            let slot = slot.lock().expect("control slot lock");
-            merged.merge(&slot.signal);
-            if i != self.me {
-                for &(vci, n) in &slot.reclaims {
-                    if let Some(w) = sc.credit_window(vci) {
-                        w.borrow_mut().reclaim(n);
-                    }
+        reclaims.clear();
+        self.round();
+        // Fold the peers' samples into this shard's (the merge is
+        // associative and commutative, so the order is immaterial) and
+        // apply their reclaims, in shard order, to any window this
+        // shard owns.
+        let mut merged = sig;
+        for (peer, _, _) in &self.links {
+            let post = &mut self.posts[*peer];
+            merged.merge(&post.signal);
+            for (vci, n) in post.reclaims.drain(..) {
+                if let Some(w) = sc.credit_window(vci) {
+                    w.borrow_mut().reclaim(n);
                 }
             }
         }
-        // Nobody rewrites a slot until everyone has read it.
-        self.wait();
         merged
     }
 
-    fn slice(&mut self, repairs_replicated: u64) -> ShardSlice {
+    /// This shard's runtime counters for the report's `shards` block,
+    /// given the circuits replicated switch-death repair walked. A lone
+    /// shard replicates nothing, so its slice stays all-zero.
+    fn slice(self, repairs_replicated: u64) -> ShardSlice {
         ShardSlice {
-            repairs_replicated,
-            ..std::mem::take(&mut self.slice)
+            repairs_replicated: if self.links.is_empty() {
+                0
+            } else {
+                repairs_replicated
+            },
+            ..self.slice
         }
     }
 }
@@ -523,70 +489,19 @@ impl Transport for Threaded<'_> {
 /// The unwind payload of a worker stopped because a peer panicked.
 struct Aborted;
 
-/// A reusable barrier that a panicking participant can abort.
-/// `std::sync::Barrier` cannot be: a participant that never arrives
-/// leaves the others waiting forever.
-struct AbortBarrier {
-    n: usize,
-    /// `(arrived, generation, aborted)`.
-    state: Mutex<(usize, u64, bool)>,
-    cv: Condvar,
-}
-
-impl AbortBarrier {
-    fn new(n: usize) -> AbortBarrier {
-        AbortBarrier {
-            n,
-            state: Mutex::new((0, 0, false)),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Blocks until all `n` participants have arrived. If the barrier
-    /// is aborted — before or during the wait — unwinds with [`Aborted`]
-    /// instead.
-    fn wait(&self) {
-        let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        if !s.2 {
-            s.0 += 1;
-            if s.0 == self.n {
-                *s = (0, s.1 + 1, false);
-                self.cv.notify_all();
-                return;
-            }
-            let generation = s.1;
-            s = self
-                .cv
-                .wait_while(s, |s| s.1 == generation && !s.2)
-                .unwrap_or_else(PoisonError::into_inner);
-            if s.1 != generation {
-                return;
-            }
-        }
-        drop(s);
-        panic::resume_unwind(Box::new(Aborted));
-    }
-
-    /// Releases every current and future waiter with [`Aborted`].
-    fn abort(&self) {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner).2 = true;
-        self.cv.notify_all();
-    }
-}
-
-/// Runs `f` for participants `0..k`, participant 0 on this thread. A
-/// participant that panics aborts `barrier`, so the rest stop at their
-/// next wait; once all have stopped, the first panic comes back as an
-/// error naming the participant, its epoch and its simulated time.
-fn on_threads<T: Send>(
-    k: usize,
-    barrier: &AbortBarrier,
-    f: impl Fn(usize, &Progress) -> T + Sync,
+/// Runs `f` for participants `0..k`, one per input, participant 0 on
+/// this thread. A participant that panics drops its input's senders,
+/// so the rest stop at their next receive; once all have stopped, the
+/// first panic comes back as an error naming the participant, its
+/// epoch and its simulated time.
+fn on_threads<L: Send, T: Send>(
+    inputs: Vec<L>,
+    f: impl Fn(usize, L, &Progress) -> T + Sync,
 ) -> Result<Vec<T>, String> {
     let failure = OnceLock::new();
-    let participant = |me: usize| {
+    let participant = |me: usize, input: L| {
         let progress = Progress::default();
-        let payload = match panic::catch_unwind(AssertUnwindSafe(|| f(me, &progress))) {
+        let payload = match panic::catch_unwind(AssertUnwindSafe(|| f(me, input, &progress))) {
             Ok(out) => return Some(out),
             Err(payload) => payload,
         };
@@ -601,13 +516,16 @@ fn on_threads<T: Send>(
                 "shard {me} panicked in epoch {epoch} (simulated time {at} ns): {what}"
             ));
         }
-        barrier.abort();
         None
     };
     let outs: Vec<Option<T>> = thread::scope(|s| {
         let participant = &participant;
-        let handles: Vec<_> = (1..k).map(|i| s.spawn(move || participant(i))).collect();
-        let mut outs = vec![participant(0)];
+        let mut inputs = inputs.into_iter().enumerate();
+        let (me, first) = inputs.next().expect("at least one participant");
+        let handles: Vec<_> = inputs
+            .map(|(i, input)| s.spawn(move || participant(i, input)))
+            .collect();
+        let mut outs = vec![participant(me, first)];
         outs.extend(
             handles
                 .into_iter()
@@ -672,36 +590,99 @@ mod tests {
         assert!(crossed > 0, "cut-crossing circuits sealed credit returns");
     }
 
+    /// A lone shard is the zero-peer case: its slice counts no exchange
+    /// round, no lookahead, no cut trunk, no crossed credit and no
+    /// replicated repair — even when a switch dies (nemesis-storm) or
+    /// congestion epochs tick (sustained-3x).
+    #[test]
+    fn lone_shard_slice_is_all_zero() {
+        let storm = presets::by_name("nemesis-storm").expect("preset");
+        let sustained = presets::by_name("sustained-3x").expect("preset");
+        for spec in [storm.scale_sessions(0.5), sustained] {
+            let r = run(&spec);
+            if spec.name == "nemesis-storm" {
+                assert!(r.vcs_rerouted + r.vcs_stranded > 0, "a repair ran");
+            }
+            let [s] = &r.shards[..] else {
+                panic!("{}: one slice per run", spec.name)
+            };
+            let counters = (
+                s.barrier_waits,
+                s.lookahead_ns,
+                s.cut_trunks,
+                s.credits_crossed,
+                s.repairs_replicated,
+            );
+            assert_eq!(counters, (0, 0, 0, 0, 0), "{}", spec.name);
+        }
+    }
+
     /// A participant that panics mid-run stops its peers: `k` of them
-    /// cross the barrier in lockstep epochs until the last one panics
-    /// at epoch 5; the run ends well within the deadline and names the
-    /// panicking participant, its epoch and its boundary time.
+    /// exchange empty posts over the channel mesh in lockstep epochs
+    /// until the last one panics at epoch 5; the run ends well within
+    /// the deadline and names the panicking participant, its epoch and
+    /// its boundary time.
     #[test]
     fn panicking_participant_stops_its_peers() {
         for k in [2usize, 4] {
-            let (tx, rx) = mpsc::channel();
-            thread::spawn(move || {
-                let barrier = AbortBarrier::new(k);
-                let result = on_threads(k, &barrier, |me, progress| {
+            let msg = within_deadline(move || {
+                on_threads(mesh(k), move |me, links, progress| {
+                    let mut posts: Vec<Post> = (0..k).map(|_| Post::default()).collect();
                     for epoch in 0..1_000_000u64 {
                         if me == k - 1 && epoch == 5 {
                             panic!("injected");
                         }
-                        barrier.wait();
+                        round(&links, &mut posts);
                         progress.set((epoch + 1, (epoch + 1) * 10));
                     }
-                });
-                tx.send(result.map(|_| ())).unwrap();
+                })
             });
-            let result = rx
-                .recv_timeout(Duration::from_secs(20))
-                .expect("peers of a panicking participant must not hang");
-            let msg = result.expect_err("the panic is reported");
             let want = format!(
                 "shard {} panicked in epoch 5 (simulated time 50 ns): injected",
                 k - 1
             );
             assert_eq!(msg, want);
         }
+    }
+
+    /// A participant that panics between control exchanges stops its
+    /// peers, which are blocked receiving its congestion sample: real
+    /// shards of a compiled city run three control rounds, then the
+    /// last one panics instead of sending its fourth.
+    #[test]
+    fn panic_in_control_exchange_stops_its_peers() {
+        let spec = presets::by_name("videophone-wall").expect("preset");
+        for k in [2usize, 4] {
+            let spec = spec.clone();
+            let msg = within_deadline(move || {
+                let plan = ExecPlan::partition(&spec, k);
+                on_threads(mesh(k), |me, links, progress| {
+                    let sc = compile_for(&spec, plan.shard_plan(me));
+                    let mut peers = Peers::new(&sc, links);
+                    for epoch in 0..1_000_000u64 {
+                        if me == k - 1 && epoch == 3 {
+                            panic!("injected in control");
+                        }
+                        peers.control(&sc, EpochSignal::default(), &mut Vec::new());
+                        progress.set((epoch + 1, epoch + 1));
+                    }
+                })
+            });
+            let want = format!(
+                "shard {} panicked in epoch 3 (simulated time 3 ns): injected in control",
+                k - 1
+            );
+            assert_eq!(msg, want);
+        }
+    }
+
+    /// Runs `f` on its own thread and returns the failure it reports,
+    /// failing the test if that takes longer than 20 s.
+    fn within_deadline(f: impl FnOnce() -> Result<Vec<()>, String> + Send + 'static) -> String {
+        let (tx, rx) = mpsc::channel();
+        thread::spawn(move || tx.send(f().map(|_| ())).unwrap());
+        rx.recv_timeout(Duration::from_secs(20))
+            .expect("peers of a panicking participant must not hang")
+            .expect_err("the panic is reported")
     }
 }

@@ -5,8 +5,8 @@
 //! range of fabric switches plus every endpoint attached to them; the
 //! only state shards exchange at runtime is sealed cells crossing *cut
 //! trunks* (inter-switch links whose two ends land in different
-//! shards), exchanged at conservative-lookahead epoch barriers by the
-//! executor (`crate::executor`).
+//! shards), exchanged over per-pair channels at conservative-lookahead
+//! epoch boundaries by the executor (`crate::executor`).
 //!
 //! The plan is a pure function of `(spec, requested shards)`, so every
 //! shard — and every shard *count* — agrees on who owns what without
@@ -15,10 +15,10 @@
 //! (`pegasus_atm::network::TrunkDir`).
 //!
 //! The control plane shards too. Credit returns on cut-crossing
-//! circuits ride the same sealed mailboxes as data cells (their return
+//! circuits ride the same sealed posts as data cells (their return
 //! delay is never below the trunk lookahead, so the conservative
 //! argument covers them); congestion epochs are sampled per shard into
-//! a mergeable `EpochSignal` and exchanged at the barrier; and switch
+//! a mergeable `EpochSignal` and exchanged at the mark; and switch
 //! death repair replays identically on every shard's full `Network`
 //! replica at the fault's mark. None of those features clamps the plan
 //! any more — the only remaining clamp is geometric: a plan can never

@@ -19,8 +19,8 @@ use crate::json::JsonWriter;
 pub const SCHEMA_VERSION: u64 = 4;
 
 /// What one region shard did during a sharded run. A classic
-/// single-threaded run reports exactly one slice with zero barrier
-/// waits and zero inter-shard cells.
+/// single-threaded run has no peers and reports exactly one slice
+/// whose counters, `events` apart, are all zero.
 #[derive(Debug, Clone, Default)]
 pub struct ShardSlice {
     /// Shard index (0 = coordinator).
@@ -29,7 +29,10 @@ pub struct ShardSlice {
     /// equals the report's `events_executed` — the count is invariant
     /// under the shard count.
     pub events: u64,
-    /// Lookahead-epoch barrier crossings this shard waited at.
+    /// Exchange rounds with at least one peer: one per lookahead
+    /// boundary and one per congestion-epoch mark. The name predates
+    /// the channel exchange, which replaced two barrier waits per
+    /// round.
     pub barrier_waits: u64,
     /// Sealed cells this shard published onto cut trunks.
     pub cells_exported: u64,

@@ -360,10 +360,6 @@ pub struct ScenarioSpec {
     pub broker: BrokerSpec,
     /// Credit flow control and the live-renegotiation feedback loop.
     pub backpressure: BackpressureSpec,
-    /// Build displays without framebuffers: identical statistics, no
-    /// pixel memory. City-scale presets turn this on — 100k sessions'
-    /// framebuffers would cost gigabytes nobody reads.
-    pub headless_displays: bool,
 }
 
 impl ScenarioSpec {
@@ -395,7 +391,6 @@ impl ScenarioSpec {
             tv_cut_period: 400 * MS,
             broker: BrokerSpec::default(),
             backpressure: BackpressureSpec::default(),
-            headless_displays: false,
         }
     }
 

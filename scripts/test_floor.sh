@@ -6,7 +6,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-FLOOR=618
+FLOOR=621
 
 OUT=$(mktemp)
 trap 'rm -f "$OUT"' EXIT
